@@ -64,15 +64,8 @@ from .properties import (
     BudgetExceededError,
     Counterexample,
     PropertyReport,
-    check_iia,
-    check_nonconstancy,
-    check_nondictatorship,
-    check_pareto,
-    check_transitivity,
-    check_weak_pareto,
     enumerate_rankings,
     make_rule,
-    quasi_dictators,
     ranking_space_size,
     replay,
     verify_rule,

@@ -38,6 +38,8 @@ from .relations import (
     bits,
     is_acyclic,
     linear_extension,
+    strictly_above,
+    weak_orders_on,
 )
 
 
@@ -242,6 +244,40 @@ def _delegation_arcs(
         else:
             arcs.append((b, a))
     return StrictDigraph(tiebreak.ground, frozenset(arcs))
+
+
+def delegation_rows(
+    profile: EvaluabilityProfile,
+    delegates: dict[tuple[int, int], int],
+    tiebreak: WeakOrder,
+) -> tuple[tuple[int, ...], ...]:
+    """The delegation relation split by individual, for exhaustive sweeps.
+
+    Per individual, one packed arc set (see ``relations.pack``) per weak
+    order of ``weak_orders_on`` their evaluable set: the arcs of the pairs
+    delegated to them, ties resolved by ``tiebreak``. Every pair has one
+    delegate, so the rows of a ranking profile have disjoint bits and their
+    sum is the packed ``delegation_relation``.
+    """
+    n = profile.n_alts
+    tb = tiebreak.ranks
+    own: list[list[tuple[int, int]]] = [[] for _ in profile.evaluable]
+    for (a, b), v in delegates.items():
+        own[v].append((a, b))
+    rows = []
+    for v, mask in enumerate(profile.evaluable):
+        per_order = []
+        for order in weak_orders_on(mask):
+            above = strictly_above(order, n)
+            row = 0
+            for a, b in own[v]:
+                if above[b] >> a & 1 or (not above[a] >> b & 1 and tb[a] < tb[b]):
+                    row |= 1 << (b * n + a)
+                else:
+                    row |= 1 << (a * n + b)
+            per_order.append(row)
+        rows.append(tuple(per_order))
+    return tuple(rows)
 
 
 def aggregate_delegation(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -114,29 +113,23 @@ def census_brute(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> CensusReport:
-    """Classify every labeled assignment of evaluable sets to individuals."""
+    """Classify every labeled assignment of evaluable sets to individuals.
+
+    ``threads`` must be at least 1 and changes nothing: the census is
+    sequential.
+    """
     if n_inds < 3:
         raise ValueError("need at least 3 individuals")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     masks = evaluable_masks(n_alts)
     total = len(masks) ** n_inds
     if total > budget:
         raise CensusBudgetError(total, budget)
     cache = _VerdictCache(n_alts, n_inds)
-
-    def tally(first: int) -> Counter[str]:
-        counts: Counter[str] = Counter()
-        for rest in itertools.product(masks, repeat=n_inds - 1):
-            counts[cache.verdict((first, *rest))] += 1
-        return counts
-
     counts: Counter[str] = Counter()
-    if threads <= 1:
-        for first in masks:
-            counts.update(tally(first))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for partial in pool.map(tally, masks):
-                counts.update(partial)
+    for combo in itertools.product(masks, repeat=n_inds):
+        counts[cache.verdict(combo)] += 1
     return CensusReport(
         n_alts, n_inds, total, counts["IP"], counts["DP"], counts["PP"], "brute"
     )

@@ -3,8 +3,10 @@ witness-cyclic, repro.
 
 Documents are JSON, UTF-8, with fixed field order; unknown fields are
 rejected. Exit codes: 0 success, 2 validation error, 3 structural
-precondition failure, 4 budget exceeded. All outputs are deterministic,
-including under --threads greater than 1.
+precondition failure, 4 budget exceeded. All outputs are deterministic.
+``verify`` and ``census`` accept --threads for compatibility: it must be at
+least 1 and changes neither the output nor the speed, since both commands
+run sequentially.
 """
 
 from __future__ import annotations
@@ -318,7 +320,13 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_threads(args: argparse.Namespace) -> None:
+    if args.threads < 1:
+        raise DocumentError("--threads must be at least 1")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_threads(args)
     profile = _load_profile(args.profile)
     axioms = tuple(args.axioms.split(","))
     for axiom in axioms:
@@ -332,6 +340,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    _check_threads(args)
     if args.method == "brute":
         report = census_brute(args.alts, args.inds, budget=args.budget, threads=args.threads)
     else:

@@ -29,7 +29,6 @@ violation from the axiom definition alone.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -37,17 +36,24 @@ from .aggregators import (
     aggregate_delegation,
     aggregate_unanimity,
     default_tiebreak,
+    delegation_rows,
     maximal_cycle_family,
     pair_delegates,
 )
 from .profiles import EvaluabilityProfile, ProfileError, complete_individuals
 from .relations import (
+    MaskRelation,
     RankingProfile,
     StrictDigraph,
     WeakOrder,
+    arcs_mask_relation,
     bits,
+    extension_mask_relation,
+    mask_relation,
     ordered_bell,
+    pack,
     strict_part,
+    strictly_above,
     weak_orders_on,
 )
 
@@ -55,7 +61,6 @@ Arf = Callable[[RankingProfile], StrictDigraph]
 
 AXIOM_IDS = ("tv", "pc", "wpc", "iia", "nc", "nd")
 DEFAULT_BUDGET = 10_000_000
-_CHUNK = 1024
 
 
 class BudgetExceededError(RuntimeError):
@@ -139,128 +144,239 @@ def _outcome(arcs: frozenset[tuple[int, int]], a: int, b: int) -> int:
     return 0
 
 
-class _Verifier:
-    """Single-pass accumulators for all requested axioms."""
+# ---------------------------------------------------------------------------
+# The sweep. Every individual gets one row per weak order of weak_orders_on
+# their evaluable set. Nested loops over individuals, in the product order of
+# enumerate_rankings, carry the AND of the unanimity rows and the sum of the
+# code rows, so each ranking profile costs one combine with the last
+# individual's row. A rule decides its output from the carried values and
+# the verifier checks every axiom on the output's mask relation
+# (relations.MaskRelation). Packed masks put node b's row at bit b*n, so
+# bit b*n + a of a packed relation reads "a above b".
+# ---------------------------------------------------------------------------
 
-    def __init__(self, profile: EvaluabilityProfile, axioms: Sequence[str]):
-        self.profile = profile
-        self.axioms = tuple(axioms)
-        self.pairs = _common_pairs(profile)
-        members = range(profile.n_alts)
-        self.triples = [
-            (x, y, z)
-            for x in members
-            for y in members
-            if y != x
-            for z in members
-            if z != x and z != y
+Decide = Callable[[int, int, list[int]], MaskRelation]
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """A rule compiled for one profile.
+
+    ``rows`` (or None) holds per individual one int per weak order; the
+    sweep sums them into the carried rule value. ``decide(unanimity, value,
+    indices)`` returns the output for the ranking profile that picks weak
+    order ``indices[v]`` for individual v, where ``unanimity`` is the packed
+    unanimity relation and ``value`` the sum of the rows.
+    """
+
+    profile: EvaluabilityProfile
+    rows: tuple[tuple[int, ...], ...] | None
+    decide: Decide
+
+
+def _closure_kernel(arf: Arf, profile: EvaluabilityProfile) -> _Kernel:
+    """Run any rule callable: build the ranking profile, convert its arcs."""
+    n = profile.n_alts
+    orders = [weak_orders_on(m) for m in profile.evaluable]
+
+    def decide(unanimity: int, value: int, indices: list[int]) -> MaskRelation:
+        rankings = RankingProfile(tuple(map(tuple.__getitem__, orders, indices)))
+        return arcs_mask_relation(arf(rankings).arcs, n)
+
+    return _Kernel(profile, None, decide)
+
+
+def _prefixes(rows, unanimity: int, code: int, indices: list[int], level: int = 0):
+    """Every index prefix over ``rows`` in product order, with the carried
+    AND of the unanimity rows and sum of the code rows; ``indices`` is
+    updated in place."""
+    if level == len(rows):
+        yield unanimity, code
+        return
+    for i, (u, c) in enumerate(rows[level]):
+        indices[level] = i
+        yield from _prefixes(rows, unanimity & u, code + c, indices, level + 1)
+
+
+def _first_tv_triple(above: list[int]) -> tuple[int, int, int] | None:
+    """The first (x, y, z), in lexicographic order, with x weakly above y,
+    y weakly above z and z strictly above x; None when the output's weak
+    relation is transitive."""
+    # Transitive outputs are strict weak orders: exactly the nodes with fewer
+    # nodes above them lie above each node. Check that in count order first.
+    lower = group = 0
+    level = -1
+    for count, x in sorted(zip(map(int.bit_count, above), range(len(above)))):
+        if count != level:
+            lower |= group
+            group = 0
+            level = count
+        if above[x] != lower:
+            break
+        group |= 1 << x
+    else:
+        return None
+    for x, ax in enumerate(above):
+        if ax:
+            for y, ay in enumerate(above):
+                missing = ax & ~ay
+                if missing and not ax >> y & 1:
+                    return x, y, (missing & -missing).bit_length() - 1
+    return None
+
+
+def _first_pair(pairs, keys, violations: int) -> tuple[int, int]:
+    """The first common pair with either direction set in ``violations``."""
+    for (a, b, _), (ab, ba) in zip(pairs, keys):
+        if (violations >> ab | violations >> ba) & 1:
+            return a, b
+    raise AssertionError("no pair carries the violation")
+
+
+def _verifier_rows(profile, pairs, fields, kernel: _Kernel):
+    """Per individual and weak order: the unanimity row (a above b unless
+    this individual evaluates both and does not strictly prefer a), the code
+    row (iia signature digits in ``fields``, then the rule's row above them)
+    and the dominance row (the individual's strict preferences)."""
+    n = profile.n_alts
+    full = profile.full_mask
+    width = fields[-1][0] + fields[-1][1].bit_length() if fields else 0
+    carried = []
+    dominance = []
+    for v, mask in enumerate(profile.evaluable):
+        digits = [
+            (a, b, 3 ** evaluators.index(v), offset)
+            for (a, b, evaluators), (offset, _) in zip(pairs, fields)
+            if v in evaluators
         ]
-        self.want_tv = "tv" in self.axioms
-        self.want_pc = "pc" in self.axioms
-        self.want_wpc = "wpc" in self.axioms
-        self.want_iia = "iia" in self.axioms
-        self.want_nc = "nc" in self.axioms
-        self.want_nd = "nd" in self.axioms
-        self.tv_ce: Counterexample | None = None
-        self.pc_ce: Counterexample | None = None
-        self.wpc_ce: Counterexample | None = None
-        self.iia_ce: Counterexample | None = None
-        self.iia_first: dict[tuple[int, tuple[int, ...]], tuple[int, RankingProfile]] = {}
-        self.nc_seen: list[set[int]] = [set() for _ in self.pairs]
-        self.alive = [True] * profile.n_inds
-        # per individual, the unordered pairs inside their evaluable set
-        self.own_pairs = [
-            list(itertools.combinations(sorted(bits(m)), 2))
-            for m in profile.evaluable
+        outside = full & ~mask
+        per_order = []
+        dominance_row = []
+        for i, order in enumerate(weak_orders_on(mask)):
+            above = strictly_above(order, n)
+            dominance_row.append(pack(above, n))
+            unanimity = pack([above[b] | outside if mask >> b & 1 else full for b in range(n)], n)
+            code = 0
+            for a, b, weight, offset in digits:
+                sign = 2 if above[b] >> a & 1 else (0 if above[a] >> b & 1 else 1)
+                code += sign * weight << offset
+            if kernel.rows is not None:
+                code += kernel.rows[v][i] << width
+            per_order.append((unanimity, code))
+        carried.append(per_order)
+        dominance.append(dominance_row)
+    return carried, dominance, width
+
+
+def _nc_counterexample(pairs, keys, seen_above, seen_below, seen_tie) -> Counterexample | None:
+    """The first common pair that showed a single outcome."""
+    for (a, b, _), (ab, _) in zip(pairs, keys):
+        seen = [
+            outcome
+            for outcome, mask in ((1, seen_above), (-1, seen_below), (0, seen_tie))
+            if mask >> ab & 1
         ]
+        if len(seen) == 1:
+            return Counterexample("nc", pair=(a, b), outcome=seen[0])
+    return None
 
-    def feed(self, rankings: RankingProfile, output: StrictDigraph) -> None:
-        arcs = output.arcs
-        orders = rankings.orders
-        if self.want_tv and self.tv_ce is None:
-            for x, y, z in self.triples:
-                # weak relation: x above y iff arc (y, x) is absent
-                if (y, x) not in arcs and (z, y) not in arcs and (z, x) in arcs:
-                    self.tv_ce = Counterexample("tv", rankings=rankings, triple=(x, y, z))
-                    break
-        for index, (a, b, evaluators) in enumerate(self.pairs):
-            all_a = True
-            all_b = True
-            signature = []
-            for v in evaluators:
-                ranks = orders[v].ranks
-                ra, rb = ranks[a], ranks[b]
-                sign = 1 if ra < rb else (-1 if rb < ra else 0)
-                signature.append(sign)
-                if sign != 1:
-                    all_a = False
-                if sign != -1:
-                    all_b = False
-            out = _outcome(arcs, a, b)
-            if self.want_pc and self.pc_ce is None:
-                if (all_a and out != 1) or (all_b and out != -1):
-                    self.pc_ce = Counterexample("pc", rankings=rankings, pair=(a, b))
-            if self.want_wpc and self.wpc_ce is None:
-                if (all_a and out == -1) or (all_b and out == 1):
-                    self.wpc_ce = Counterexample("wpc", rankings=rankings, pair=(a, b))
-            if self.want_iia:
-                key = (index, tuple(signature))
-                first = self.iia_first.get(key)
-                if first is None:
-                    self.iia_first[key] = (out, rankings)
-                elif first[0] != out and self.iia_ce is None:
-                    self.iia_ce = Counterexample(
-                        "iia", rankings=first[1], rankings_alt=rankings, pair=(a, b)
-                    )
-            if self.want_nc:
-                self.nc_seen[index].add(out)
-        if self.want_nd:
-            for v in range(self.profile.n_inds):
-                if not self.alive[v]:
-                    continue
-                ranks = orders[v].ranks
-                for a, b in self.own_pairs[v]:
-                    ra, rb = ranks[a], ranks[b]
-                    if ra < rb:
-                        if (a, b) not in arcs:
-                            self.alive[v] = False
-                            break
-                    elif rb < ra:
-                        if (b, a) not in arcs:
-                            self.alive[v] = False
-                            break
 
-    def finalize(self) -> tuple[tuple[AxiomVerdict, ...], tuple[int, ...] | None]:
-        verdicts = []
-        quasi: tuple[int, ...] | None = None
-        for axiom in self.axioms:
-            if axiom == "tv":
-                verdicts.append(AxiomVerdict("tv", self.tv_ce is None, self.tv_ce))
-            elif axiom == "pc":
-                verdicts.append(AxiomVerdict("pc", self.pc_ce is None, self.pc_ce))
-            elif axiom == "wpc":
-                verdicts.append(AxiomVerdict("wpc", self.wpc_ce is None, self.wpc_ce))
-            elif axiom == "iia":
-                verdicts.append(AxiomVerdict("iia", self.iia_ce is None, self.iia_ce))
-            elif axiom == "nc":
-                ce = None
-                for index, seen in enumerate(self.nc_seen):
-                    if len(seen) == 1:
-                        a, b, _ = self.pairs[index]
-                        ce = Counterexample("nc", pair=(a, b), outcome=next(iter(seen)))
+def _sweep(
+    profile: EvaluabilityProfile, axioms: tuple[str, ...], kernel: _Kernel
+) -> tuple[tuple[AxiomVerdict, ...], tuple[int, ...] | None]:
+    n = profile.n_alts
+    orders = [weak_orders_on(m) for m in profile.evaluable]
+    pairs = _common_pairs(profile)
+    # bit positions of "a above b" and "b above a" for each common pair (a, b)
+    keys = [(b * n + a, a * n + b) for a, b, _ in pairs]
+    common = 0
+    for ab, ba in keys:
+        common |= 1 << ab | 1 << ba
+    # iia: (offset, mask) of each pair's base-3 signature over its evaluators
+    fields = []
+    if "iia" in axioms:
+        offset = 0
+        for _, _, evaluators in pairs:
+            size = (3 ** len(evaluators) - 1).bit_length()
+            fields.append((offset, (1 << size) - 1))
+            offset += size
+    rows, dominance, width = _verifier_rows(profile, pairs, fields, kernel)
+
+    def at(indices) -> RankingProfile:
+        return RankingProfile(tuple(map(tuple.__getitem__, orders, indices)))
+
+    want_tv = "tv" in axioms
+    want_pc = "pc" in axioms
+    want_wpc = "wpc" in axioms
+    want_iia = "iia" in axioms
+    want_nc = "nc" in axioms
+    tv_ce = pc_ce = wpc_ce = iia_ce = None
+    # per pair: signature field, outcome bit, first (outcome, indices) per signature
+    iia_tables = [
+        (offset, field, ab, {}, (a, b))
+        for (offset, field), (a, b, _), (ab, _) in zip(fields, pairs, keys)
+    ]
+    seen_above = seen_below = seen_tie = 0
+    alive = list(range(profile.n_inds)) if "nd" in axioms else []
+
+    decide = kernel.decide
+    indices = [0] * profile.n_inds
+    last = profile.n_inds - 1
+    for unanimity_prefix, code_prefix in _prefixes(rows[:last], common, 0, indices):
+        for i, (u, c) in enumerate(rows[last]):
+            indices[last] = i
+            unanimity = unanimity_prefix & u
+            code = code_prefix + c
+            above, packed_above, packed_below = decide(unanimity, code >> width, indices)
+            if want_tv:
+                triple = _first_tv_triple(above)
+                if triple is not None:
+                    tv_ce = Counterexample("tv", rankings=at(indices), triple=triple)
+                    want_tv = False
+            if want_pc and unanimity & ~packed_above:
+                pair = _first_pair(pairs, keys, unanimity & ~packed_above)
+                pc_ce = Counterexample("pc", rankings=at(indices), pair=pair)
+                want_pc = False
+            if want_wpc and unanimity & packed_below:
+                pair = _first_pair(pairs, keys, unanimity & packed_below)
+                wpc_ce = Counterexample("wpc", rankings=at(indices), pair=pair)
+                want_wpc = False
+            if want_iia:
+                for offset, field, ab, first, pair in iia_tables:
+                    signature = code >> offset & field
+                    out = (packed_above >> ab & 1) - (packed_below >> ab & 1)
+                    seen = first.get(signature)
+                    if seen is None:
+                        first[signature] = (out, tuple(indices))
+                    elif seen[0] != out:
+                        iia_ce = Counterexample(
+                            "iia", rankings=at(seen[1]), rankings_alt=at(indices), pair=pair
+                        )
+                        want_iia = False
                         break
-                verdicts.append(AxiomVerdict("nc", ce is None, ce))
-            elif axiom == "nd":
-                quasi = tuple(v for v, live in enumerate(self.alive) if live)
-                complete = set(complete_individuals(self.profile))
-                dictator = next((v for v in quasi if v in complete), None)
-                ce = (
-                    None
-                    if dictator is None
-                    else Counterexample("nd", individual=dictator)
-                )
-                verdicts.append(AxiomVerdict("nd", ce is None, ce))
-        return tuple(verdicts), quasi
+            if want_nc:
+                seen_above |= packed_above
+                seen_below |= packed_below
+                seen_tie |= ~(packed_above | packed_below)
+            for v in alive:
+                if dominance[v][indices[v]] & ~packed_above:
+                    alive = [w for w in alive if w != v]
+
+    verdicts = []
+    quasi: tuple[int, ...] | None = None
+    found = {"tv": tv_ce, "pc": pc_ce, "wpc": wpc_ce, "iia": iia_ce}
+    for axiom in axioms:
+        if axiom in found:
+            ce = found[axiom]
+        elif axiom == "nc":
+            ce = _nc_counterexample(pairs, keys, seen_above, seen_below, seen_tie)
+        else:
+            quasi = tuple(alive)
+            complete = complete_individuals(profile)
+            dictator = next((v for v in quasi if v in complete), None)
+            ce = None if dictator is None else Counterexample("nd", individual=dictator)
+        verdicts.append(AxiomVerdict(axiom, ce is None, ce))
+    return tuple(verdicts), quasi
 
 
 def verify_rule(
@@ -272,62 +388,24 @@ def verify_rule(
 ) -> PropertyReport:
     """Check the requested axioms over the full ranking space in one pass.
 
-    With ``threads`` > 1 the rule is evaluated in parallel over fixed chunks;
-    the accumulators are fed in enumeration order, so the report is identical
-    to the sequential run regardless of scheduling.
+    A rule from ``make_rule`` for this profile runs as its compiled kernel
+    and its closure is never called; any other callable is called once per
+    ranking profile. ``threads`` must be at least 1 and changes nothing: the
+    sweep is sequential.
     """
     for axiom in axioms:
         if axiom not in AXIOM_IDS:
             raise ValueError(f"unknown axiom {axiom!r}")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     size = ranking_space_size(profile)
     if size > budget:
         raise BudgetExceededError(size, budget)
-    verifier = _Verifier(profile, axioms)
-    if threads <= 1:
-        for rankings in enumerate_rankings(profile):
-            verifier.feed(rankings, arf(rankings))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            stream = enumerate_rankings(profile)
-            while True:
-                batch = list(itertools.islice(stream, _CHUNK))
-                if not batch:
-                    break
-                for rankings, output in zip(batch, pool.map(arf, batch)):
-                    verifier.feed(rankings, output)
-    verdicts, quasi = verifier.finalize()
+    kernel = getattr(arf, "kernel", None)
+    if kernel is None or kernel.profile != profile:
+        kernel = _closure_kernel(arf, profile)
+    verdicts, quasi = _sweep(profile, tuple(axioms), kernel)
     return PropertyReport(verdicts, quasi, size)
-
-
-def check_transitivity(arf: Arf, profile, budget: int = DEFAULT_BUDGET) -> AxiomVerdict:
-    return verify_rule(arf, profile, ("tv",), budget).axioms[0]
-
-
-def check_pareto(arf: Arf, profile, budget: int = DEFAULT_BUDGET) -> AxiomVerdict:
-    return verify_rule(arf, profile, ("pc",), budget).axioms[0]
-
-
-def check_weak_pareto(arf: Arf, profile, budget: int = DEFAULT_BUDGET) -> AxiomVerdict:
-    return verify_rule(arf, profile, ("wpc",), budget).axioms[0]
-
-
-def check_iia(arf: Arf, profile, budget: int = DEFAULT_BUDGET) -> AxiomVerdict:
-    return verify_rule(arf, profile, ("iia",), budget).axioms[0]
-
-
-def check_nonconstancy(arf: Arf, profile, budget: int = DEFAULT_BUDGET) -> AxiomVerdict:
-    return verify_rule(arf, profile, ("nc",), budget).axioms[0]
-
-
-def check_nondictatorship(arf: Arf, profile, budget: int = DEFAULT_BUDGET) -> AxiomVerdict:
-    return verify_rule(arf, profile, ("nd",), budget).axioms[0]
-
-
-def quasi_dictators(arf: Arf, profile, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """Individuals whose strict preferences are reproduced on every profile."""
-    report = verify_rule(arf, profile, ("nd",), budget)
-    assert report.quasi_dictators is not None
-    return report.quasi_dictators
 
 
 def replay(arf: Arf, profile: EvaluabilityProfile, ce: Counterexample) -> bool:
@@ -416,34 +494,54 @@ def make_rule(
     order; ``majority`` takes pairwise majorities among common evaluators
     with ties as indifference; ``dictatorship[:ID]`` reproduces one
     individual's order with everyone else's alternatives tied at the bottom.
+
+    The closure carries the same rule compiled for ``verify_rule`` as its
+    ``kernel`` attribute.
     """
     name, _, argument = rule_id.partition(":")
     tb = tiebreak if tiebreak is not None else default_tiebreak(profile)
     if not tb.is_linear or tb.ground != profile.full_mask:
         raise ValueError("tiebreak must be a linear order on all alternatives")
+    n = profile.n_alts
+    sequence = tuple(tier.bit_length() - 1 for tier in tb.tiers)
+    indifferent: MaskRelation = ([0] * n, 0, 0)
+    rule: Arf
+    rows = None
     if name == "fstar":
 
-        def fstar(rankings: RankingProfile) -> StrictDigraph:
+        def rule(rankings: RankingProfile) -> StrictDigraph:
             return strict_part(aggregate_unanimity(profile, rankings, tb).order)
 
-        return fstar
-    if name == "fstarstar":
+        def decide(unanimity: int, value: int, indices: list[int]) -> MaskRelation:
+            return extension_mask_relation(unanimity, n, sequence) or indifferent
+
+    elif name == "fstarstar":
         family = maximal_cycle_family(profile)
         delegates = pair_delegates(profile, family)
+        rows = delegation_rows(profile, delegates, tb)
 
-        def fstarstar(rankings: RankingProfile) -> StrictDigraph:
+        def rule(rankings: RankingProfile) -> StrictDigraph:
             result = aggregate_delegation(profile, rankings, tb, family)
             return strict_part(result.order)
 
-        return fstarstar
-    if name == "constant":
+        def decide(unanimity: int, value: int, indices: list[int]) -> MaskRelation:
+            return extension_mask_relation(value, n, sequence) or indifferent
+
+    elif name == "constant":
         fixed = strict_part(tb)
-        return lambda rankings: fixed
-    if name == "majority":
+        fixed_masks = mask_relation(tb, n)
+
+        def rule(rankings: RankingProfile) -> StrictDigraph:
+            return fixed
+
+        def decide(unanimity: int, value: int, indices: list[int]) -> MaskRelation:
+            return fixed_masks
+
+    elif name == "majority":
         pairs = _common_pairs(profile)
         full = profile.full_mask
 
-        def majority(rankings: RankingProfile) -> StrictDigraph:
+        def rule(rankings: RankingProfile) -> StrictDigraph:
             arcs = []
             for a, b, evaluators in pairs:
                 tally = 0
@@ -457,8 +555,19 @@ def make_rule(
                     arcs.append((b, a))
             return StrictDigraph(full, frozenset(arcs))
 
-        return majority
-    if name == "dictatorship":
+        rows, fields = _majority_rows(profile, pairs)
+
+        def decide(unanimity: int, value: int, indices: list[int]) -> MaskRelation:
+            arcs = []
+            for offset, field, voters, pair, flipped in fields:
+                tally = value >> offset & field
+                if tally > voters:
+                    arcs.append(pair)
+                elif tally < voters:
+                    arcs.append(flipped)
+            return arcs_mask_relation(arcs, n)
+
+    elif name == "dictatorship":
         if argument:
             if argument not in profile.ind_index:
                 raise ProfileError(f"unknown individual {argument!r}")
@@ -466,12 +575,46 @@ def make_rule(
         else:
             chief = 0
         rest = profile.full_mask & ~profile.evaluable[chief]
+        chief_orders = weak_orders_on(profile.evaluable[chief])
 
-        def dictatorship(rankings: RankingProfile) -> StrictDigraph:
+        def rule(rankings: RankingProfile) -> StrictDigraph:
             tiers = rankings.orders[chief].tiers
             if rest:
                 tiers = tiers + (rest,)
             return strict_part(WeakOrder(tiers))
 
-        return dictatorship
-    raise ValueError(f"unknown rule {rule_id!r}")
+        def decide(unanimity: int, value: int, indices: list[int]) -> MaskRelation:
+            tiers = chief_orders[indices[chief]].tiers
+            return mask_relation(WeakOrder(tiers + (rest,) if rest else tiers), n)
+
+    else:
+        raise ValueError(f"unknown rule {rule_id!r}")
+    rule.kernel = _Kernel(profile, rows, decide)  # type: ignore[attr-defined]
+    return rule
+
+
+def _majority_rows(profile: EvaluabilityProfile, pairs):
+    """Majority tallies split by individual: per weak order, each common
+    pair's field gets 2, 1 or 0 as the individual prefers a, ties, or
+    prefers b. A field summing to more (fewer) than its evaluator count
+    means a (b) wins."""
+    n = profile.n_alts
+    fields = []
+    width = 0
+    for a, b, evaluators in pairs:
+        k = len(evaluators)
+        fields.append((width, (1 << (2 * k).bit_length()) - 1, k, (a, b), (b, a)))
+        width += (2 * k).bit_length()
+    rows = []
+    for v, mask in enumerate(profile.evaluable):
+        mine = [(p, a, b) for p, (a, b, evaluators) in enumerate(pairs) if v in evaluators]
+        per_order = []
+        for order in weak_orders_on(mask):
+            above = strictly_above(order, n)
+            row = 0
+            for p, a, b in mine:
+                vote = 2 if above[b] >> a & 1 else (0 if above[a] >> b & 1 else 1)
+                row += vote << fields[p][0]
+            per_order.append(row)
+        rows.append(tuple(per_order))
+    return tuple(rows), fields

@@ -157,6 +157,94 @@ def strict_part(order: WeakOrder) -> StrictDigraph:
     return StrictDigraph(order.ground, frozenset(arcs))
 
 
+# ---------------------------------------------------------------------------
+# Mask relations. An output relation on n alternatives is kept as the list of
+# per-node masks ``above[x]`` (the nodes strictly above x) plus two packed
+# ints: node x's mask of nodes strictly above it (resp. below it) sits at
+# bits x*n .. x*n + n - 1. Arc (a, b) is bit b*n + a of the packed "above".
+# ---------------------------------------------------------------------------
+
+MaskRelation = tuple[list[int], int, int]
+
+
+def strictly_above(order: WeakOrder, n: int) -> list[int]:
+    """Per element id below ``n``, the mask of elements strictly better in
+    ``order``; elements outside its ground set get 0."""
+    above = [0] * n
+    better = 0
+    for tier in order.tiers:
+        for a in bits(tier):
+            above[a] = better
+        better |= tier
+    return above
+
+
+def pack(masks: Iterable[int], n: int) -> int:
+    """Pack per-node masks into one int, node x's mask at bit x*n."""
+    out = 0
+    for x, mask in enumerate(masks):
+        out |= mask << (x * n)
+    return out
+
+
+def mask_relation(order: WeakOrder, n: int) -> MaskRelation:
+    """The strict part of ``order`` as a mask relation on ``n`` nodes."""
+    above = strictly_above(order, n)
+    below = [0] * n
+    worse = order.ground
+    for tier in order.tiers:
+        worse ^= tier
+        for a in bits(tier):
+            below[a] = worse
+    return above, pack(above, n), pack(below, n)
+
+
+def arcs_mask_relation(arcs: Iterable[tuple[int, int]], n: int) -> MaskRelation:
+    """An arc set (a strictly above b for each (a, b)) as a mask relation."""
+    above = [0] * n
+    below = [0] * n
+    for a, b in arcs:
+        above[b] |= 1 << a
+        below[a] |= 1 << b
+    return above, pack(above, n), pack(below, n)
+
+
+def extension_mask_relation(
+    constraint: int, n: int, tiebreak: tuple[int, ...]
+) -> MaskRelation | None:
+    """``linear_extension`` on a packed constraint, as a mask relation.
+
+    ``tiebreak`` lists the nodes best first. Each step places the first
+    remaining node in tiebreak order that no remaining node is constrained
+    above, which is the node Kahn's algorithm in ``linear_extension`` pops.
+    Returns None when the constraint has a directed cycle.
+    """
+    rest = (1 << n) - 1
+    placed = 0
+    above = [0] * n
+    packed_above = 0
+    waiting = list(tiebreak)
+    while waiting:
+        for j, x in enumerate(waiting):
+            if not constraint >> x * n & rest:
+                break
+        else:
+            return None
+        del waiting[j]
+        rest ^= 1 << x
+        above[x] = placed
+        packed_above |= placed << x * n
+        placed |= 1 << x
+    # in a linear order every other node is either above or below
+    return above, packed_above, _off_diagonal(n) ^ packed_above
+
+
+@lru_cache(maxsize=None)
+def _off_diagonal(n: int) -> int:
+    full = (1 << n) - 1
+    return pack([full ^ 1 << x for x in range(n)], n)
+
+
 def indifferent_pairs(order: WeakOrder) -> frozenset[tuple[int, int]]:
     """Off-diagonal symmetric part of ``order``, as (a, b) pairs with a < b."""
     pairs = []

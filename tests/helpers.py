@@ -1,9 +1,11 @@
-"""Independent oracles used by the tests.
+"""Independent oracles and test-only helpers.
 
-Everything here recomputes expectations from first principles (explicit pair
-sets, permutation sweeps, recurrences) without touching the library's own
-shortcut representations, so the two sides of each comparison stay
-independent.
+The oracles recompute expectations from first principles (explicit pair
+sets, permutation sweeps, recurrences, the axiom sweep on arc sets in
+``reference_verify``) without touching the library's own shortcut
+representations, so the two sides of each comparison stay independent. The
+single-axiom ``check_*`` wrappers and ``quasi_dictators`` are conveniences
+over ``verify_rule`` that only the tests use.
 """
 
 from __future__ import annotations
@@ -11,7 +13,17 @@ from __future__ import annotations
 import itertools
 import random
 
-from rankagg.profiles import EvaluabilityProfile
+from rankagg.profiles import EvaluabilityProfile, complete_individuals
+from rankagg.properties import (
+    AXIOM_IDS,
+    DEFAULT_BUDGET,
+    AxiomVerdict,
+    Counterexample,
+    PropertyReport,
+    ranking_space_size,
+    verify_rule,
+)
+from rankagg.relations import RankingProfile, bits, weak_orders_on
 
 
 def ordered_bell_recurrence(n: int) -> int:
@@ -152,3 +164,141 @@ def profile_from_masks(n_alts: int, masks: tuple[int, ...]) -> EvaluabilityProfi
         tuple(f"v{i + 1}" for i in range(len(padded))),
         padded,
     )
+
+
+# ---------------------------------------------------------------------------
+# Single-axiom wrappers around verify_rule
+# ---------------------------------------------------------------------------
+
+
+def check_transitivity(arf, profile, budget: int = DEFAULT_BUDGET) -> AxiomVerdict:
+    return verify_rule(arf, profile, ("tv",), budget).axioms[0]
+
+
+def check_pareto(arf, profile, budget: int = DEFAULT_BUDGET) -> AxiomVerdict:
+    return verify_rule(arf, profile, ("pc",), budget).axioms[0]
+
+
+def check_weak_pareto(arf, profile, budget: int = DEFAULT_BUDGET) -> AxiomVerdict:
+    return verify_rule(arf, profile, ("wpc",), budget).axioms[0]
+
+
+def check_iia(arf, profile, budget: int = DEFAULT_BUDGET) -> AxiomVerdict:
+    return verify_rule(arf, profile, ("iia",), budget).axioms[0]
+
+
+def check_nonconstancy(arf, profile, budget: int = DEFAULT_BUDGET) -> AxiomVerdict:
+    return verify_rule(arf, profile, ("nc",), budget).axioms[0]
+
+
+def check_nondictatorship(arf, profile, budget: int = DEFAULT_BUDGET) -> AxiomVerdict:
+    return verify_rule(arf, profile, ("nd",), budget).axioms[0]
+
+
+def quasi_dictators(arf, profile, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
+    """Individuals whose strict preferences are reproduced on every profile."""
+    report = verify_rule(arf, profile, ("nd",), budget)
+    assert report.quasi_dictators is not None
+    return report.quasi_dictators
+
+
+# ---------------------------------------------------------------------------
+# Reference verifier: calls the rule on every ranking profile and checks the
+# axioms on explicit arc sets, one triple and one pair at a time.
+# ---------------------------------------------------------------------------
+
+
+def _outcome(arcs, a: int, b: int) -> int:
+    if (a, b) in arcs:
+        return 1
+    if (b, a) in arcs:
+        return -1
+    return 0
+
+
+def reference_verify(arf, profile: EvaluabilityProfile, axioms=AXIOM_IDS) -> PropertyReport:
+    """The axiom sweep of ``verify_rule``, from the definitions on arc sets."""
+    n = profile.n_alts
+    ev = profile.evaluator_masks
+    pairs = [
+        (a, b, tuple(bits(ev[a] & ev[b])))
+        for a in range(n)
+        for b in range(a + 1, n)
+        if ev[a] & ev[b]
+    ]
+    triples = [
+        (x, y, z)
+        for x in range(n)
+        for y in range(n)
+        if y != x
+        for z in range(n)
+        if z != x and z != y
+    ]
+    own_pairs = [list(itertools.combinations(sorted(bits(m)), 2)) for m in profile.evaluable]
+    tv_ce = pc_ce = wpc_ce = iia_ce = None
+    iia_first: dict = {}
+    nc_seen: list[set[int]] = [set() for _ in pairs]
+    alive = [True] * profile.n_inds
+    per_individual = [weak_orders_on(m) for m in profile.evaluable]
+    for combo in itertools.product(*per_individual):
+        rankings = RankingProfile(combo)
+        arcs = arf(rankings).arcs
+        if "tv" in axioms and tv_ce is None:
+            for x, y, z in triples:
+                # weak relation: x above y iff arc (y, x) is absent
+                if (y, x) not in arcs and (z, y) not in arcs and (z, x) in arcs:
+                    tv_ce = Counterexample("tv", rankings=rankings, triple=(x, y, z))
+                    break
+        for index, (a, b, evaluators) in enumerate(pairs):
+            signs = []
+            for v in evaluators:
+                ranks = combo[v].ranks
+                signs.append(1 if ranks[a] < ranks[b] else (-1 if ranks[b] < ranks[a] else 0))
+            all_a = all(s == 1 for s in signs)
+            all_b = all(s == -1 for s in signs)
+            out = _outcome(arcs, a, b)
+            if "pc" in axioms and pc_ce is None:
+                if (all_a and out != 1) or (all_b and out != -1):
+                    pc_ce = Counterexample("pc", rankings=rankings, pair=(a, b))
+            if "wpc" in axioms and wpc_ce is None:
+                if (all_a and out == -1) or (all_b and out == 1):
+                    wpc_ce = Counterexample("wpc", rankings=rankings, pair=(a, b))
+            if "iia" in axioms:
+                key = (index, tuple(signs))
+                first = iia_first.get(key)
+                if first is None:
+                    iia_first[key] = (out, rankings)
+                elif first[0] != out and iia_ce is None:
+                    iia_ce = Counterexample(
+                        "iia", rankings=first[1], rankings_alt=rankings, pair=(a, b)
+                    )
+            nc_seen[index].add(out)
+        for v in range(profile.n_inds):
+            ranks = combo[v].ranks
+            for a, b in own_pairs[v]:
+                if ranks[a] < ranks[b] and (a, b) not in arcs:
+                    alive[v] = False
+                if ranks[b] < ranks[a] and (b, a) not in arcs:
+                    alive[v] = False
+    verdicts = []
+    quasi = None
+    found = {"tv": tv_ce, "pc": pc_ce, "wpc": wpc_ce, "iia": iia_ce}
+    for axiom in axioms:
+        if axiom in found:
+            ce = found[axiom]
+        elif axiom == "nc":
+            ce = next(
+                (
+                    Counterexample("nc", pair=(a, b), outcome=next(iter(seen)))
+                    for (a, b, _), seen in zip(pairs, nc_seen)
+                    if len(seen) == 1
+                ),
+                None,
+            )
+        else:
+            quasi = tuple(v for v, live in enumerate(alive) if live)
+            complete = complete_individuals(profile)
+            dictator = next((v for v in quasi if v in complete), None)
+            ce = None if dictator is None else Counterexample("nd", individual=dictator)
+        verdicts.append(AxiomVerdict(axiom, ce is None, ce))
+    return PropertyReport(tuple(verdicts), quasi, ranking_space_size(profile))

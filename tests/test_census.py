@@ -95,6 +95,11 @@ def test_threaded_census_matches_sequential():
     assert plain == threaded
 
 
+def test_threads_below_one_rejected():
+    with pytest.raises(ValueError):
+        census_brute(3, 3, threads=0)
+
+
 def test_budget_guard():
     with pytest.raises(CensusBudgetError) as err:
         census_brute(3, 4, budget=100)

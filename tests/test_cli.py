@@ -258,6 +258,18 @@ def test_verify_unknown_axiom_exits_2(capsys, example_paths):
     assert "zz" in err
 
 
+def test_threads_below_one_exits_2(capsys, example_paths):
+    for argv in (
+        ("verify", "--rule", "fstar", "--threads", "0", example_paths[0]),
+        ("census", "--alts", "3", "--inds", "3", "--threads", "0"),
+        ("census", "--alts", "3", "--inds", "3", "--method", "symmetric", "--threads", "-1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "--threads" in err
+
+
 # -- census and table ----------------------------------------------------------
 
 

@@ -4,22 +4,25 @@ from rankagg.profiles import build_profile
 from rankagg.properties import (
     AXIOM_IDS,
     BudgetExceededError,
-    check_iia,
-    check_nonconstancy,
-    check_nondictatorship,
-    check_pareto,
-    check_transitivity,
-    check_weak_pareto,
     enumerate_rankings,
     make_rule,
-    quasi_dictators,
     ranking_space_size,
     replay,
     verify_rule,
 )
 from rankagg.relations import WeakOrder
 
-from helpers import all_profiles_masks, profile_from_masks
+from helpers import (
+    all_profiles_masks,
+    check_iia,
+    check_nonconstancy,
+    check_nondictatorship,
+    check_pareto,
+    check_transitivity,
+    check_weak_pareto,
+    profile_from_masks,
+    quasi_dictators,
+)
 
 
 @pytest.fixture
