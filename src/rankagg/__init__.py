@@ -43,7 +43,6 @@ from .conditions import (
     check_spanning_cycle_free,
     classify,
     cyclic_rankings,
-    is_cyclic_subset,
     maximal_cyclic_sets,
 )
 from .profiles import (
@@ -52,10 +51,7 @@ from .profiles import (
     UnionGraph,
     build_profile,
     build_union_graph,
-    common_evaluators,
     complete_individuals,
-    evaluators_of,
-    is_nontrivial,
     validate_rankings,
 )
 from .properties import (

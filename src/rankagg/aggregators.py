@@ -285,16 +285,18 @@ def aggregate_delegation(
     rankings: RankingProfile,
     tiebreak: WeakOrder | None = None,
     family: MaximalCycleFamily | None = None,
+    delegates: dict[tuple[int, int], int] | None = None,
 ) -> AggregationResult:
     """Extend the delegation relation to a linear order.
 
     Requires the cycle-cover check to hold (the family construction raises
     otherwise). The constraint is acyclic under cycle cover; the degenerate
-    fallback is kept for defensive completeness only.
+    fallback is kept for defensive completeness only. ``delegates``, the
+    ``pair_delegates`` map of ``family``, saves recomputing it per call.
     """
     tb = _check_tiebreak(profile, tiebreak)
     fam = family if family is not None else maximal_cycle_family(profile)
-    constraint = delegation_relation(profile, rankings, fam, tb)
+    constraint = delegation_relation(profile, rankings, fam, tb, delegates)
     acyclic, _ = is_acyclic(constraint)
     if not acyclic:  # unreachable under cycle cover
         return AggregationResult(constraint, _all_indifferent(profile), True)

@@ -30,6 +30,7 @@ from .census import (
     DEFAULT_BUDGET,
     DEFAULT_GRID_ALTS,
     DEFAULT_GRID_INDS,
+    DEFAULT_SUPPORT_BUDGET,
     census_brute,
     census_symmetric,
     format_proportion,
@@ -341,10 +342,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_census(args: argparse.Namespace) -> int:
     _check_threads(args)
+    budget = {} if args.budget is None else {"budget": args.budget}
     if args.method == "brute":
-        report = census_brute(args.alts, args.inds, budget=args.budget, threads=args.threads)
+        report = census_brute(args.alts, args.inds, threads=args.threads, **budget)
     else:
-        report = census_symmetric(args.alts, args.inds, budget=args.budget)
+        report = census_symmetric(args.alts, args.inds, **budget)
     sys.stdout.write(dumps(census_json(report)))
     return 0
 
@@ -474,7 +476,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alts", type=int, required=True)
     p.add_argument("--inds", type=int, required=True)
     p.add_argument("--method", choices=("brute", "symmetric"), default="brute")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument(
+        "--budget",
+        type=int,
+        help="brute: labeled profiles (default %d); symmetric: antichains of "
+        "maximal evaluable sets (default %d)" % (DEFAULT_BUDGET, DEFAULT_SUPPORT_BUDGET),
+    )
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_census)
 

@@ -140,13 +140,6 @@ def _spanning_cycle_witness(adjacency: tuple[int, ...], mask: int) -> tuple[int,
     return tuple(nodes[i] for i in seq)
 
 
-def is_cyclic_subset(graph: UnionGraph, subset: int) -> bool:
-    """True when ``subset`` is exactly the node set of some cycle of the graph."""
-    if subset & ~graph.nodes:
-        raise ValueError("subset leaves the node set")
-    return _spanning_cycle_exists(graph.adjacency, subset)
-
-
 def maximal_cyclic_sets(graph: UnionGraph) -> tuple[int, ...]:
     """All cyclic node subsets with no cyclic strict superset, ascending."""
     adj = graph.adjacency

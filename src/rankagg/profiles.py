@@ -119,20 +119,6 @@ def build_profile(
     return EvaluabilityProfile(alts, inds, tuple(masks))
 
 
-def evaluators_of(profile: EvaluabilityProfile, a: int) -> tuple[int, ...]:
-    """Indices of the individuals that evaluate alternative ``a``."""
-    if not 0 <= a < profile.n_alts:
-        raise ProfileError(f"unknown alternative index {a}")
-    return tuple(bits(profile.evaluator_masks[a]))
-
-
-def common_evaluators(profile: EvaluabilityProfile, a: int, b: int) -> tuple[int, ...]:
-    """Indices of individuals evaluating both ``a`` and ``b``, in input order."""
-    if not 0 <= a < profile.n_alts or not 0 <= b < profile.n_alts:
-        raise ProfileError(f"unknown alternative index {a if a >= profile.n_alts else b}")
-    return tuple(bits(profile.evaluator_masks[a] & profile.evaluator_masks[b]))
-
-
 @dataclass(frozen=True)
 class UnionGraph:
     """Union of the per-individual cliques on their evaluable sets."""
@@ -144,29 +130,6 @@ class UnionGraph:
     @property
     def nodes(self) -> int:
         return (1 << self.node_count) - 1
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        out = []
-        for a in range(self.node_count):
-            for b in bits(self.adjacency[a]):
-                if b > a:
-                    out.append((a, b))
-        return frozenset(out)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return bool((self.adjacency[a] >> b) & 1)
-
-    def clique_edges(self, v: int) -> frozenset[tuple[int, int]]:
-        members = list(bits(self.cliques[v]))
-        return frozenset(
-            (a, b) for i, a in enumerate(members) for b in members[i + 1 :]
-        )
-
-    @property
-    def is_complete(self) -> bool:
-        full = self.nodes
-        return all(self.adjacency[a] == full ^ (1 << a) for a in range(self.node_count))
 
 
 def build_union_graph(profile: EvaluabilityProfile) -> UnionGraph:
@@ -182,11 +145,6 @@ def complete_individuals(profile: EvaluabilityProfile) -> tuple[int, ...]:
     """Indices of individuals whose evaluable set is all alternatives."""
     full = profile.full_mask
     return tuple(v for v, m in enumerate(profile.evaluable) if m == full)
-
-
-def is_nontrivial(profile: EvaluabilityProfile) -> bool:
-    """True when every pair of alternatives shares at least one evaluator."""
-    return build_union_graph(profile).is_complete
 
 
 def validate_rankings(profile: EvaluabilityProfile, rankings: RankingProfile) -> None:

@@ -521,7 +521,7 @@ def make_rule(
         rows = delegation_rows(profile, delegates, tb)
 
         def rule(rankings: RankingProfile) -> StrictDigraph:
-            result = aggregate_delegation(profile, rankings, tb, family)
+            result = aggregate_delegation(profile, rankings, tb, family, delegates)
             return strict_part(result.order)
 
         def decide(unanimity: int, value: int, indices: list[int]) -> MaskRelation:

@@ -5,7 +5,9 @@ sets, permutation sweeps, recurrences, the axiom sweep on arc sets in
 ``reference_verify``) without touching the library's own shortcut
 representations, so the two sides of each comparison stay independent. The
 single-axiom ``check_*`` wrappers and ``quasi_dictators`` are conveniences
-over ``verify_rule`` that only the tests use.
+over ``verify_rule`` that only the tests use, as are the evaluator and
+union-graph queries (``evaluators_of``, ``graph_edges``, ``is_cyclic_subset``
+and the like).
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from rankagg.profiles import EvaluabilityProfile, complete_individuals
+from rankagg.profiles import (
+    EvaluabilityProfile,
+    ProfileError,
+    UnionGraph,
+    build_union_graph,
+    complete_individuals,
+)
 from rankagg.properties import (
     AXIOM_IDS,
     DEFAULT_BUDGET,
@@ -114,6 +122,61 @@ def naive_hamiltonian(adjacency: tuple[int, ...], n: int) -> bool:
         if all((adjacency[seq[i]] >> seq[(i + 1) % n]) & 1 for i in range(n)):
             return True
     return False
+
+
+def is_cyclic_subset(graph: UnionGraph, subset: int) -> bool:
+    """True when ``subset`` is exactly the node set of some cycle of the graph."""
+    if subset & ~graph.nodes:
+        raise ValueError("subset leaves the node set")
+    nodes = list(bits(subset))
+    local = tuple(
+        sum(1 << j for j, b in enumerate(nodes) if (graph.adjacency[a] >> b) & 1)
+        for a in nodes
+    )
+    return naive_hamiltonian(local, len(nodes))
+
+
+def evaluators_of(profile: EvaluabilityProfile, a: int) -> tuple[int, ...]:
+    """Indices of the individuals that evaluate alternative ``a``."""
+    if not 0 <= a < profile.n_alts:
+        raise ProfileError(f"unknown alternative index {a}")
+    return tuple(bits(profile.evaluator_masks[a]))
+
+
+def common_evaluators(profile: EvaluabilityProfile, a: int, b: int) -> tuple[int, ...]:
+    """Indices of individuals evaluating both ``a`` and ``b``, in input order."""
+    if not 0 <= a < profile.n_alts or not 0 <= b < profile.n_alts:
+        raise ProfileError(f"unknown alternative index {a if a >= profile.n_alts else b}")
+    return tuple(bits(profile.evaluator_masks[a] & profile.evaluator_masks[b]))
+
+
+def graph_edges(graph: UnionGraph) -> frozenset[tuple[int, int]]:
+    """Every edge (a, b) of the union graph with a < b."""
+    return frozenset(
+        (a, b)
+        for a in range(graph.node_count)
+        for b in bits(graph.adjacency[a])
+        if b > a
+    )
+
+
+def has_edge(graph: UnionGraph, a: int, b: int) -> bool:
+    return bool((graph.adjacency[a] >> b) & 1)
+
+
+def clique_edges(graph: UnionGraph, v: int) -> frozenset[tuple[int, int]]:
+    """The edges individual ``v`` contributes: all pairs of their set."""
+    return frozenset(itertools.combinations(bits(graph.cliques[v]), 2))
+
+
+def graph_is_complete(graph: UnionGraph) -> bool:
+    full = graph.nodes
+    return all(graph.adjacency[a] == full ^ (1 << a) for a in range(graph.node_count))
+
+
+def is_nontrivial(profile: EvaluabilityProfile) -> bool:
+    """True when every pair of alternatives shares at least one evaluator."""
+    return graph_is_complete(build_union_graph(profile))
 
 
 def all_linear_extensions(ground: list[int], arcs: set[tuple[int, int]]) -> list[tuple[int, ...]]:

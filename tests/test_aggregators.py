@@ -11,7 +11,7 @@ from rankagg.aggregators import (
     unanimity_relation,
 )
 from rankagg.conditions import ConditionViolationError, check_cycle_cover, classify, cyclic_rankings
-from rankagg.profiles import ProfileError, build_profile, common_evaluators
+from rankagg.profiles import ProfileError, build_profile
 from rankagg.relations import (
     RankingProfile,
     WeakOrder,
@@ -22,7 +22,7 @@ from rankagg.relations import (
     weak_orders_on,
 )
 
-from helpers import all_profiles_masks, profile_from_masks
+from helpers import all_profiles_masks, common_evaluators, profile_from_masks
 
 EXAMPLE_ARCS = frozenset({
     (1, 3), (1, 0), (1, 2), (3, 0), (3, 2),

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from rankagg.census import (
     evaluable_set_count,
     format_proportion,
     render_grid,
+    support_weight,
 )
 from rankagg.conditions import DP, classify
 from rankagg.profiles import EvaluabilityProfile
@@ -81,12 +83,48 @@ def test_dp_count_identity():
 
 
 def test_symmetric_census_matches_brute():
-    for n_alts, n_inds in ((3, 3), (3, 4), (4, 3), (3, 6)):
+    # every size whose labeled space has at most 20,000 profiles
+    for n_alts, n_inds in ((3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4), (5, 3)):
         brute = census_brute(n_alts, n_inds)
         symmetric = census_symmetric(n_alts, n_inds)
         assert (symmetric.ip, symmetric.dp, symmetric.pp) == (brute.ip, brute.dp, brute.pp)
         assert symmetric.total == brute.total
         assert symmetric.method == "symmetric" and brute.method == "brute"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n_alts,n_inds", [(5, 4), (4, 6)])
+def test_maximal_support_census_equals_brute_large(n_alts, n_inds):
+    brute = census_brute(n_alts, n_inds)
+    symmetric = census_symmetric(n_alts, n_inds)
+    assert (symmetric.ip, symmetric.dp, symmetric.pp) == (brute.ip, brute.dp, brute.pp)
+
+
+@pytest.mark.parametrize("n_inds", range(3, 9))
+def test_maximal_support_census_closed_forms(n_inds):
+    report = census_symmetric(5, n_inds)
+    sets = evaluable_set_count(5)
+    assert report.total == sets**n_inds
+    assert report.dp == sets**n_inds - (sets - 1) ** n_inds
+    assert report.ip + report.dp + report.pp == report.total
+
+
+def test_support_weight_by_hand():
+    # A = {a1a2a3, a1a4} over 4 alternatives: below a1a2a3 lie a1a2, a1a3,
+    # a2a3 and itself, below a1a4 only itself, so d_A = 5; triples over those
+    # 5 sets that use both members: 5^3 - 2 * 4^3 + 3^3 = 24
+    members = (0b0111, 0b1001)
+    down = [s for s in evaluable_masks(4) if any(s & ~m == 0 for m in members)]
+    assert len(down) == 5
+    assert support_weight(2, 5, 3) == 24
+    direct = sum(
+        1
+        for combo in itertools.product(down, repeat=3)
+        if set(members) <= set(combo)
+    )
+    assert direct == 24
+    # more members than individuals: no profile has this support
+    assert support_weight(4, 6, 3) == 0
 
 
 def test_threaded_census_matches_sequential():
@@ -104,6 +142,16 @@ def test_budget_guard():
     with pytest.raises(CensusBudgetError) as err:
         census_brute(3, 4, budget=100)
     assert err.value.required == 256
+
+
+def test_symmetric_budget_counts_antichains():
+    # 4x6 has 113 antichains of at most 6 evaluable sets, far fewer than
+    # its 11^6 labeled profiles
+    assert census_symmetric(4, 6, budget=113).total == 11**6
+    with pytest.raises(CensusBudgetError) as err:
+        census_symmetric(4, 6, budget=112)
+    assert err.value.required == 113
+    assert "antichains" in str(err.value)
 
 
 def test_enlarging_preserves_dictatorship_verdict():

@@ -300,6 +300,21 @@ def test_census_budget_exits_4(capsys):
     assert "1331" in err
 
 
+def test_census_symmetric_budget_charged_on_antichains(capsys):
+    # 8008 is the number of 6-multisets of the 11 sets; only 113 antichains
+    # are classified. The counts are those of the brute census.
+    argv = ("census", "--method", "symmetric", "--alts", "4", "--inds", "6")
+    code, out, _ = run_cli(capsys, *argv, "--budget", "8008")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["counts"] == {"IP": 879012, "DP": 771561, "PP": 120988}
+    assert payload["total"] == 1771561
+    code, out, err = run_cli(capsys, *argv, "--budget", "50")
+    assert code == 4
+    assert out == ""
+    assert "antichains" in err
+
+
 def test_census_too_few_alternatives_exits_2(capsys):
     code, _, err = run_cli(capsys, "census", "--alts", "2", "--inds", "3")
     assert code == 2

@@ -11,7 +11,6 @@ from rankagg.conditions import (
     check_spanning_cycle_free,
     classify,
     cyclic_rankings,
-    is_cyclic_subset,
     maximal_cyclic_sets,
 )
 from rankagg.profiles import (
@@ -26,6 +25,8 @@ from rankagg.aggregators import unanimity_relation
 from helpers import (
     all_profiles_masks,
     distinct_clique_families,
+    has_edge,
+    is_cyclic_subset,
     naive_cycle_cover,
     naive_hamiltonian,
     profile_from_masks,
@@ -116,7 +117,7 @@ def test_uncovered_cycle_witness_revalidates(peer_rating):
     graph = build_union_graph(peer_rating)
     cycle = result.uncovered_cycle
     for i, a in enumerate(cycle):
-        assert graph.has_edge(a, cycle[(i + 1) % len(cycle)])
+        assert has_edge(graph, a, cycle[(i + 1) % len(cycle)])
     covered = mask_of(cycle)
     assert not any(covered & ~c == 0 for c in peer_rating.evaluable)
 
@@ -151,7 +152,7 @@ def test_spanning_cycle_matches_permutation_oracle():
         assert got.holds != naive_hamiltonian(graph.adjacency, profile.n_alts)
         if got.cycle is not None:
             for i, a in enumerate(got.cycle):
-                assert graph.has_edge(a, got.cycle[(i + 1) % len(got.cycle)])
+                assert has_edge(graph, a, got.cycle[(i + 1) % len(got.cycle)])
             assert mask_of(got.cycle) == graph.nodes
 
 

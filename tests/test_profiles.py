@@ -8,15 +8,20 @@ from rankagg.profiles import (
     ProfileError,
     build_profile,
     build_union_graph,
-    common_evaluators,
     complete_individuals,
-    evaluators_of,
-    is_nontrivial,
     validate_rankings,
 )
 from rankagg.relations import RankingProfile, WeakOrder, bits
 
-from helpers import random_profile
+from helpers import (
+    clique_edges,
+    common_evaluators,
+    evaluators_of,
+    graph_edges,
+    graph_is_complete,
+    is_nontrivial,
+    random_profile,
+)
 
 
 @pytest.fixture
@@ -125,10 +130,10 @@ def test_unknown_alternative_index_rejected(example):
 
 def test_example_union_graph_edges(example):
     graph = build_union_graph(example)
-    assert len(graph.edges) == 10
+    assert len(graph_edges(graph)) == 10
     clique = {(a, b) for a, b in itertools.combinations(range(4), 2)}
     triangle = {(3, 4), (3, 5), (4, 5)}
-    assert graph.edges == frozenset(clique | triangle | {(5, 6)})
+    assert graph_edges(graph) == frozenset(clique | triangle | {(5, 6)})
 
 
 def test_complete_individual_gives_complete_graph():
@@ -136,7 +141,7 @@ def test_complete_individual_gives_complete_graph():
         ["a", "b", "c", "d"], ["v1", "v2", "v3"],
         {"v1": ["a", "b", "c", "d"], "v2": ["a", "b"], "v3": ["c", "d"]},
     )
-    assert build_union_graph(profile).is_complete
+    assert graph_is_complete(build_union_graph(profile))
 
 
 def test_two_clique_union():
@@ -145,18 +150,18 @@ def test_two_clique_union():
         {"u": ["1", "2", "3"], "w": ["1", "3", "4"], "x": ["1", "2", "3"]},
     )
     graph = build_union_graph(profile)
-    assert graph.edges == frozenset({(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)})
+    assert graph_edges(graph) == frozenset({(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)})
 
 
 def test_clique_edges_reconstruction(example):
     graph = build_union_graph(example)
     union = set()
     for v in range(example.n_inds):
-        edges = graph.clique_edges(v)
+        edges = clique_edges(graph, v)
         members = sorted(bits(example.evaluable[v]))
         assert edges == {(a, b) for a, b in itertools.combinations(members, 2)}
         union |= edges
-    assert frozenset(union) == graph.edges
+    assert frozenset(union) == graph_edges(graph)
 
 
 # -- completeness and nontriviality ------------------------------------------
@@ -206,7 +211,7 @@ def test_edge_monotonicity_under_shrinking():
             profile.alternatives, profile.individuals,
             tuple(smaller_mask if i == v else m for i, m in enumerate(masks)),
         )
-        assert build_union_graph(smaller).edges <= build_union_graph(profile).edges
+        assert graph_edges(build_union_graph(smaller)) <= graph_edges(build_union_graph(profile))
 
 
 # -- rankings validation -----------------------------------------------------

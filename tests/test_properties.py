@@ -76,6 +76,25 @@ def test_budget_guard(all_complete):
     assert err.value.required == 13**3
 
 
+def test_fstarstar_closure_builds_delegates_once(example, monkeypatch):
+    import rankagg.aggregators as aggregators
+    import rankagg.properties as properties
+
+    calls = []
+    original = aggregators.pair_delegates
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(aggregators, "pair_delegates", counting)
+    monkeypatch.setattr(properties, "pair_delegates", counting)
+    rule = make_rule("fstarstar", example)
+    outputs = [rule(rankings) for _, rankings in zip(range(40), enumerate_rankings(example))]
+    assert len(outputs) == 40
+    assert len(calls) == 1
+
+
 # -- transitivity ------------------------------------------------------------
 
 
