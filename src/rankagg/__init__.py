@@ -72,12 +72,9 @@ from .relations import (
     StrictDigraph,
     WeakOrder,
     enumerate_weak_orders,
-    extends,
-    indifferent_pairs,
     is_acyclic,
     linear_extension,
     ordered_bell,
-    restrict,
     strict_part,
     weak_orders_on,
 )

@@ -1,16 +1,26 @@
 """The two constructive aggregation rules.
 
+Each rule's constraint relation is defined once, as a packed row per
+(individual, weak order) in the layout of ``relations.pack``. The rules
+combine the rows of the submitted orders, and ``properties.verify_rule``
+combines the same rows over every weak order, so aggregation and the
+exhaustive checks run one definition.
+
 ``aggregate_unanimity`` extends the unanimity relation: pair (a, b) is
-constrained exactly when everyone who evaluates both strictly agrees. The
-constraint is acyclic whenever the profile passes the cycle-cover check, and
-any deterministic linear extension of it is transitive and Pareto-consistent.
+constrained exactly when everyone who evaluates both strictly agrees. It is
+the AND of the ``unanimity_row`` of each submitted order, kept to the
+commonly evaluated pairs. The constraint is acyclic whenever the profile
+passes the cycle-cover check, and any deterministic linear extension of it
+is transitive and Pareto-consistent.
 
 ``aggregate_delegation`` decides every commonly evaluated pair through a
 single designated individual. Pairs inside a maximal cyclic node set
 (including its chords) are delegated to that set's dictator, an individual
 who evaluates the whole set; remaining pairs go to the first common evaluator
 in input order. Ties of the designated individual fall through to a global
-linear tiebreak. Because each pair's outcome depends only on one fixed
+linear tiebreak. The relation is the OR of the ``delegation_row`` of each
+submitted order, which holds the arcs of the pairs delegated to that
+individual. Because each pair's outcome depends only on one fixed
 individual's restriction to that pair, the rule is independent of irrelevant
 alternatives, and its constraint relation is always acyclic under cycle
 cover.
@@ -38,8 +48,7 @@ from .relations import (
     bits,
     is_acyclic,
     linear_extension,
-    strictly_above,
-    weak_orders_on,
+    packed_digraph,
 )
 
 
@@ -83,38 +92,34 @@ def _check_tiebreak(profile: EvaluabilityProfile, tiebreak: WeakOrder | None) ->
     return tiebreak
 
 
+def unanimity_row(order: WeakOrder, mask: int, n: int) -> int:
+    """One individual's part of the packed unanimity relation.
+
+    The individual evaluates ``mask`` and ranks it by ``order``. Arc (a, b)
+    is set unless they evaluate both and do not strictly prefer a to b, so
+    the AND over individuals keeps exactly the unanimous strict preferences.
+    """
+    full = (1 << n) - 1
+    row = (1 << n * n) - 1
+    better = full & ~mask
+    for tier in order.tiers:
+        # node b of this tier keeps only the nodes ranked above it or unranked
+        cleared = full & ~better
+        for b in bits(tier):
+            row ^= cleared << b * n
+        better |= tier
+    return row
+
+
 def unanimity_relation(profile: EvaluabilityProfile, rankings: RankingProfile) -> StrictDigraph:
     """Arc (a, b) iff some individual evaluates both and all such individuals
     strictly prefer a to b."""
     validate_rankings(profile, rankings)
-    return _unanimity_arcs(profile, rankings)
-
-
-def _unanimity_arcs(profile: EvaluabilityProfile, rankings: RankingProfile) -> StrictDigraph:
-    ev = profile.evaluator_masks
-    arcs = []
     n = profile.n_alts
-    for a in range(n):
-        for b in range(a + 1, n):
-            shared = ev[a] & ev[b]
-            if not shared:
-                continue
-            a_over_b = True
-            b_over_a = True
-            for v in bits(shared):
-                ranks = rankings.orders[v].ranks
-                ra, rb = ranks[a], ranks[b]
-                if ra >= rb:
-                    a_over_b = False
-                if rb >= ra:
-                    b_over_a = False
-                if not a_over_b and not b_over_a:
-                    break
-            if a_over_b:
-                arcs.append((a, b))
-            elif b_over_a:
-                arcs.append((b, a))
-    return StrictDigraph(profile.full_mask, frozenset(arcs))
+    packed = profile.common_pairs
+    for order, mask in zip(rankings.orders, profile.evaluable):
+        packed &= unanimity_row(order, mask, n)
+    return packed_digraph(packed, n, profile.full_mask)
 
 
 def _all_indifferent(profile: EvaluabilityProfile) -> WeakOrder:
@@ -151,13 +156,14 @@ def maximal_cycle_family(
     the cycle-cover check fails, carrying the uncovered cycle.
     """
     g = graph if graph is not None else build_union_graph(profile)
-    cover = check_cycle_cover(profile, g)
-    if not cover.holds:
+    maximal = maximal_cyclic_sets(g)
+    # every cyclic set lies in a maximal one, so cover holds exactly when
+    # each maximal cyclic set lies inside some evaluable set
+    if not all(any(m & ~c == 0 for c in profile.evaluable) for m in maximal):
         raise ConditionViolationError(
             "cycle cover fails; no dictator exists for some cycle",
-            cycle=cover.uncovered_cycle,
+            cycle=check_cycle_cover(profile, g).uncovered_cycle,
         )
-    maximal = maximal_cyclic_sets(g)
     cycle_nodes = 0
     for m in maximal:
         cycle_nodes |= m
@@ -168,13 +174,8 @@ def maximal_cycle_family(
         lowest = cycle_nodes & ~covered
         node_bit = lowest & -lowest
         chosen = min(m for m in maximal if m & node_bit)
-        dictator = next(
-            (v for v, c in enumerate(profile.evaluable) if chosen & ~c == 0), None
-        )
-        if dictator is None:  # unreachable once the cover check passed
-            raise RuntimeError("maximal cyclic set lost its covering individual")
         sets.append(chosen)
-        dictators.append(dictator)
+        dictators.append(next(v for v, c in enumerate(profile.evaluable) if chosen & ~c == 0))
         covered |= chosen
     return MaximalCycleFamily(tuple(sets), profile.full_mask & ~covered, tuple(dictators))
 
@@ -211,6 +212,34 @@ def pair_delegates(
     return out
 
 
+def delegated_pairs(
+    profile: EvaluabilityProfile, delegates: dict[tuple[int, int], int]
+) -> list[list[tuple[int, int]]]:
+    """Per individual, the pairs of ``delegates`` assigned to them."""
+    own: list[list[tuple[int, int]]] = [[] for _ in profile.evaluable]
+    for pair, v in delegates.items():
+        own[v].append(pair)
+    return own
+
+
+def delegation_row(
+    order: WeakOrder, own_pairs: list[tuple[int, int]], tiebreak: WeakOrder, n: int
+) -> int:
+    """One individual's part of the packed delegation relation: an arc on
+    each of ``own_pairs`` as ``order`` ranks it, ties resolved by
+    ``tiebreak``. Every pair has one delegate, so the rows of a ranking
+    profile have disjoint bits."""
+    ranks = order.ranks
+    tb = tiebreak.ranks
+    row = 0
+    for a, b in own_pairs:
+        if ranks[a] < ranks[b] or (ranks[a] == ranks[b] and tb[a] < tb[b]):
+            row |= 1 << (b * n + a)
+        else:
+            row |= 1 << (a * n + b)
+    return row
+
+
 def delegation_relation(
     profile: EvaluabilityProfile,
     rankings: RankingProfile,
@@ -223,61 +252,11 @@ def delegation_relation(
     validate_rankings(profile, rankings)
     tb = _check_tiebreak(profile, tiebreak)
     delegates = pair_assignment if pair_assignment is not None else pair_delegates(profile, family)
-    return _delegation_arcs(rankings, delegates, tb)
-
-
-def _delegation_arcs(
-    rankings: RankingProfile,
-    delegates: dict[tuple[int, int], int],
-    tiebreak: WeakOrder,
-) -> StrictDigraph:
-    arcs = []
-    for (a, b), v in delegates.items():
-        ranks = rankings.orders[v].ranks
-        ra, rb = ranks[a], ranks[b]
-        if ra < rb:
-            arcs.append((a, b))
-        elif rb < ra:
-            arcs.append((b, a))
-        elif tiebreak.ranks[a] < tiebreak.ranks[b]:
-            arcs.append((a, b))
-        else:
-            arcs.append((b, a))
-    return StrictDigraph(tiebreak.ground, frozenset(arcs))
-
-
-def delegation_rows(
-    profile: EvaluabilityProfile,
-    delegates: dict[tuple[int, int], int],
-    tiebreak: WeakOrder,
-) -> tuple[tuple[int, ...], ...]:
-    """The delegation relation split by individual, for exhaustive sweeps.
-
-    Per individual, one packed arc set (see ``relations.pack``) per weak
-    order of ``weak_orders_on`` their evaluable set: the arcs of the pairs
-    delegated to them, ties resolved by ``tiebreak``. Every pair has one
-    delegate, so the rows of a ranking profile have disjoint bits and their
-    sum is the packed ``delegation_relation``.
-    """
     n = profile.n_alts
-    tb = tiebreak.ranks
-    own: list[list[tuple[int, int]]] = [[] for _ in profile.evaluable]
-    for (a, b), v in delegates.items():
-        own[v].append((a, b))
-    rows = []
-    for v, mask in enumerate(profile.evaluable):
-        per_order = []
-        for order in weak_orders_on(mask):
-            above = strictly_above(order, n)
-            row = 0
-            for a, b in own[v]:
-                if above[b] >> a & 1 or (not above[a] >> b & 1 and tb[a] < tb[b]):
-                    row |= 1 << (b * n + a)
-                else:
-                    row |= 1 << (a * n + b)
-            per_order.append(row)
-        rows.append(tuple(per_order))
-    return tuple(rows)
+    packed = 0
+    for order, own in zip(rankings.orders, delegated_pairs(profile, delegates)):
+        packed |= delegation_row(order, own, tb, n)
+    return packed_digraph(packed, n, tb.ground)
 
 
 def aggregate_delegation(

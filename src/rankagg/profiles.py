@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .relations import RankingProfile, bits, mask_of
+from .relations import RankingProfile, bits, mask_of, pack
 
 
 class ProfileError(ValueError):
@@ -75,6 +75,13 @@ class EvaluabilityProfile:
             for a in bits(m):
                 out[a] |= 1 << v
         return tuple(out)
+
+    @cached_property
+    def common_pairs(self) -> int:
+        """The ordered pairs of distinct alternatives that some individual
+        evaluates together, packed as by ``relations.pack``: the union
+        graph's adjacency."""
+        return pack(build_union_graph(self).adjacency, self.n_alts)
 
     def alt_names(self, mask_or_ids: int | Iterable[int]) -> list[str]:
         ids = bits(mask_or_ids) if isinstance(mask_or_ids, int) else mask_or_ids

@@ -36,11 +36,18 @@ from .aggregators import (
     aggregate_delegation,
     aggregate_unanimity,
     default_tiebreak,
-    delegation_rows,
+    delegated_pairs,
+    delegation_row,
     maximal_cycle_family,
     pair_delegates,
+    unanimity_row,
 )
-from .profiles import EvaluabilityProfile, ProfileError, complete_individuals
+from .profiles import (
+    EvaluabilityProfile,
+    ProfileError,
+    complete_individuals,
+    validate_rankings,
+)
 from .relations import (
     MaskRelation,
     RankingProfile,
@@ -52,6 +59,7 @@ from .relations import (
     mask_relation,
     ordered_bell,
     pack,
+    packed_digraph,
     strict_part,
     strictly_above,
     weak_orders_on,
@@ -145,32 +153,35 @@ def _outcome(arcs: frozenset[tuple[int, int]], a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The sweep. Every individual gets one row per weak order of weak_orders_on
-# their evaluable set. Nested loops over individuals, in the product order of
-# enumerate_rankings, carry the AND of the unanimity rows and the sum of the
-# code rows, so each ranking profile costs one combine with the last
-# individual's row. A rule decides its output from the carried values and
-# the verifier checks every axiom on the output's mask relation
-# (relations.MaskRelation). Packed masks put node b's row at bit b*n, so
-# bit b*n + a of a packed relation reads "a above b".
+# The sweep. Once the budget check has passed, every individual gets one row
+# per weak order of weak_orders_on their evaluable set: the verifier's own
+# rows (aggregators.unanimity_row among them) and the rule's row. Nested
+# loops over individuals, in the product order of enumerate_rankings, carry
+# the AND of the unanimity rows and the sum of the code rows, so each ranking
+# profile costs one combine with the last individual's row. A rule decides
+# its output from the carried values and the verifier checks every axiom on
+# the output's mask relation (relations.MaskRelation). Packed masks put node
+# b's row at bit b*n, so bit b*n + a of a packed relation reads "a above b".
 # ---------------------------------------------------------------------------
 
+Row = Callable[[int, WeakOrder], int]
 Decide = Callable[[int, int, list[int]], MaskRelation]
 
 
 @dataclass(frozen=True)
 class _Kernel:
-    """A rule compiled for one profile.
+    """A rule defined for one profile.
 
-    ``rows`` (or None) holds per individual one int per weak order; the
-    sweep sums them into the carried rule value. ``decide(unanimity, value,
-    indices)`` returns the output for the ranking profile that picks weak
-    order ``indices[v]`` for individual v, where ``unanimity`` is the packed
-    unanimity relation and ``value`` the sum of the rows.
+    ``row(v, order)`` (or None) packs individual v's weak order into an int;
+    the rows of a ranking profile are summed into the rule's value.
+    ``decide(unanimity, value, indices)`` returns the output for the ranking
+    profile that picks weak order ``indices[v]`` for individual v, where
+    ``unanimity`` is the packed unanimity relation and ``value`` the sum of
+    the rows.
     """
 
     profile: EvaluabilityProfile
-    rows: tuple[tuple[int, ...], ...] | None
+    row: Row | None
     decide: Decide
 
 
@@ -233,13 +244,17 @@ def _first_pair(pairs, keys, violations: int) -> tuple[int, int]:
     raise AssertionError("no pair carries the violation")
 
 
+def _vote(above: list[int], a: int, b: int) -> int:
+    """2, 1 or 0 as the order with ``strictly_above`` masks ``above`` puts a
+    above b, ties them, or puts b above a."""
+    return 2 if above[b] >> a & 1 else (0 if above[a] >> b & 1 else 1)
+
+
 def _verifier_rows(profile, pairs, fields, kernel: _Kernel):
-    """Per individual and weak order: the unanimity row (a above b unless
-    this individual evaluates both and does not strictly prefer a), the code
-    row (iia signature digits in ``fields``, then the rule's row above them)
-    and the dominance row (the individual's strict preferences)."""
+    """Per individual and weak order: the unanimity row, the code row (iia
+    signature digits in ``fields``, then the rule's row above them) and the
+    dominance row (the individual's strict preferences)."""
     n = profile.n_alts
-    full = profile.full_mask
     width = fields[-1][0] + fields[-1][1].bit_length() if fields else 0
     carried = []
     dominance = []
@@ -249,20 +264,17 @@ def _verifier_rows(profile, pairs, fields, kernel: _Kernel):
             for (a, b, evaluators), (offset, _) in zip(pairs, fields)
             if v in evaluators
         ]
-        outside = full & ~mask
         per_order = []
         dominance_row = []
-        for i, order in enumerate(weak_orders_on(mask)):
+        for order in weak_orders_on(mask):
             above = strictly_above(order, n)
             dominance_row.append(pack(above, n))
-            unanimity = pack([above[b] | outside if mask >> b & 1 else full for b in range(n)], n)
             code = 0
             for a, b, weight, offset in digits:
-                sign = 2 if above[b] >> a & 1 else (0 if above[a] >> b & 1 else 1)
-                code += sign * weight << offset
-            if kernel.rows is not None:
-                code += kernel.rows[v][i] << width
-            per_order.append((unanimity, code))
+                code += _vote(above, a, b) * weight << offset
+            if kernel.row is not None:
+                code += kernel.row(v, order) << width
+            per_order.append((unanimity_row(order, mask, n), code))
         carried.append(per_order)
         dominance.append(dominance_row)
     return carried, dominance, width
@@ -289,9 +301,7 @@ def _sweep(
     pairs = _common_pairs(profile)
     # bit positions of "a above b" and "b above a" for each common pair (a, b)
     keys = [(b * n + a, a * n + b) for a, b, _ in pairs]
-    common = 0
-    for ab, ba in keys:
-        common |= 1 << ab | 1 << ba
+    common = profile.common_pairs
     # iia: (offset, mask) of each pair's base-3 signature over its evaluators
     fields = []
     if "iia" in axioms:
@@ -388,10 +398,11 @@ def verify_rule(
 ) -> PropertyReport:
     """Check the requested axioms over the full ranking space in one pass.
 
-    A rule from ``make_rule`` for this profile runs as its compiled kernel
-    and its closure is never called; any other callable is called once per
-    ranking profile. ``threads`` must be at least 1 and changes nothing: the
-    sweep is sequential.
+    A rule from ``make_rule`` for this profile runs as its kernel, whose rows
+    are built over every weak order only once the space is within
+    ``budget``, and its closure is never called; any other callable is
+    called once per ranking profile. ``threads`` must be at least 1 and
+    changes nothing: the sweep is sequential.
     """
     for axiom in axioms:
         if axiom not in AXIOM_IDS:
@@ -495,8 +506,15 @@ def make_rule(
     with ties as indifference; ``dictatorship[:ID]`` reproduces one
     individual's order with everyone else's alternatives tied at the bottom.
 
-    The closure carries the same rule compiled for ``verify_rule`` as its
-    ``kernel`` attribute.
+    Each rule is defined once, as a row per (individual, weak order) and a
+    ``decide`` step (see ``_Kernel``), carried as the closure's ``kernel``
+    attribute. ``fstar`` decides from the unanimity relation
+    (``aggregators.unanimity_row``) and ``fstarstar`` from its
+    ``aggregators.delegation_row``; their closures run the same rows through
+    ``aggregate_unanimity`` and ``aggregate_delegation``. The other closures
+    sum the rows of the submitted orders and decide. ``verify_rule`` maps the
+    rows over every weak order only after its budget check, so building a
+    rule enumerates nothing.
     """
     name, _, argument = rule_id.partition(":")
     tb = tiebreak if tiebreak is not None else default_tiebreak(profile)
@@ -505,8 +523,7 @@ def make_rule(
     n = profile.n_alts
     sequence = tuple(tier.bit_length() - 1 for tier in tb.tiers)
     indifferent: MaskRelation = ([0] * n, 0, 0)
-    rule: Arf
-    rows = None
+    row: Row | None = None
     if name == "fstar":
 
         def rule(rankings: RankingProfile) -> StrictDigraph:
@@ -518,44 +535,40 @@ def make_rule(
     elif name == "fstarstar":
         family = maximal_cycle_family(profile)
         delegates = pair_delegates(profile, family)
-        rows = delegation_rows(profile, delegates, tb)
+        own = delegated_pairs(profile, delegates)
 
         def rule(rankings: RankingProfile) -> StrictDigraph:
             result = aggregate_delegation(profile, rankings, tb, family, delegates)
             return strict_part(result.order)
 
+        def row(v: int, order: WeakOrder) -> int:
+            return delegation_row(order, own[v], tb, n)
+
         def decide(unanimity: int, value: int, indices: list[int]) -> MaskRelation:
             return extension_mask_relation(value, n, sequence) or indifferent
 
     elif name == "constant":
-        fixed = strict_part(tb)
-        fixed_masks = mask_relation(tb, n)
-
-        def rule(rankings: RankingProfile) -> StrictDigraph:
-            return fixed
+        fixed = mask_relation(tb, n)
 
         def decide(unanimity: int, value: int, indices: list[int]) -> MaskRelation:
-            return fixed_masks
+            return fixed
 
     elif name == "majority":
-        pairs = _common_pairs(profile)
-        full = profile.full_mask
+        # per common pair a tally field wide enough for two votes per
+        # evaluator; a sum above (below) the evaluator count means a (b) wins
+        fields = []
+        ballots: list[list[tuple[int, int, int]]] = [[] for _ in profile.evaluable]
+        offset = 0
+        for a, b, evaluators in _common_pairs(profile):
+            size = (2 * len(evaluators)).bit_length()
+            fields.append((offset, (1 << size) - 1, len(evaluators), (a, b), (b, a)))
+            for v in evaluators:
+                ballots[v].append((a, b, offset))
+            offset += size
 
-        def rule(rankings: RankingProfile) -> StrictDigraph:
-            arcs = []
-            for a, b, evaluators in pairs:
-                tally = 0
-                for v in evaluators:
-                    ranks = rankings.orders[v].ranks
-                    ra, rb = ranks[a], ranks[b]
-                    tally += (ra < rb) - (rb < ra)
-                if tally > 0:
-                    arcs.append((a, b))
-                elif tally < 0:
-                    arcs.append((b, a))
-            return StrictDigraph(full, frozenset(arcs))
-
-        rows, fields = _majority_rows(profile, pairs)
+        def row(v: int, order: WeakOrder) -> int:
+            above = strictly_above(order, n)
+            return sum(_vote(above, a, b) << offset for a, b, offset in ballots[v])
 
         def decide(unanimity: int, value: int, indices: list[int]) -> MaskRelation:
             arcs = []
@@ -575,46 +588,35 @@ def make_rule(
         else:
             chief = 0
         rest = profile.full_mask & ~profile.evaluable[chief]
-        chief_orders = weak_orders_on(profile.evaluable[chief])
+        square = n * n
+        full = (1 << n) - 1
 
-        def rule(rankings: RankingProfile) -> StrictDigraph:
-            tiers = rankings.orders[chief].tiers
-            if rest:
-                tiers = tiers + (rest,)
-            return strict_part(WeakOrder(tiers))
+        def row(v: int, order: WeakOrder) -> int:
+            # the chief's packed output, "above" below "below"; 0 for others
+            if v != chief:
+                return 0
+            _, above, below = mask_relation(WeakOrder(order.tiers + (rest,)) if rest else order, n)
+            return above | below << square
 
         def decide(unanimity: int, value: int, indices: list[int]) -> MaskRelation:
-            tiers = chief_orders[indices[chief]].tiers
-            return mask_relation(WeakOrder(tiers + (rest,) if rest else tiers), n)
+            above = value & (1 << square) - 1
+            return [above >> x * n & full for x in range(n)], above, value >> square
 
     else:
         raise ValueError(f"unknown rule {rule_id!r}")
-    rule.kernel = _Kernel(profile, rows, decide)  # type: ignore[attr-defined]
+    if name not in ("fstar", "fstarstar"):
+        rule = _summed_rule(profile, row, decide)
+    rule.kernel = _Kernel(profile, row, decide)  # type: ignore[attr-defined]
     return rule
 
 
-def _majority_rows(profile: EvaluabilityProfile, pairs):
-    """Majority tallies split by individual: per weak order, each common
-    pair's field gets 2, 1 or 0 as the individual prefers a, ties, or
-    prefers b. A field summing to more (fewer) than its evaluator count
-    means a (b) wins."""
+def _summed_rule(profile: EvaluabilityProfile, row: Row | None, decide: Decide) -> Arf:
+    """The closure of a rule that decides from the sum of its rows alone."""
     n = profile.n_alts
-    fields = []
-    width = 0
-    for a, b, evaluators in pairs:
-        k = len(evaluators)
-        fields.append((width, (1 << (2 * k).bit_length()) - 1, k, (a, b), (b, a)))
-        width += (2 * k).bit_length()
-    rows = []
-    for v, mask in enumerate(profile.evaluable):
-        mine = [(p, a, b) for p, (a, b, evaluators) in enumerate(pairs) if v in evaluators]
-        per_order = []
-        for order in weak_orders_on(mask):
-            above = strictly_above(order, n)
-            row = 0
-            for p, a, b in mine:
-                vote = 2 if above[b] >> a & 1 else (0 if above[a] >> b & 1 else 1)
-                row += vote << fields[p][0]
-            per_order.append(row)
-        rows.append(tuple(per_order))
-    return tuple(rows), fields
+
+    def rule(rankings: RankingProfile) -> StrictDigraph:
+        validate_rankings(profile, rankings)
+        value = 0 if row is None else sum(row(v, order) for v, order in enumerate(rankings.orders))
+        return packed_digraph(decide(0, value, [])[1], n, profile.full_mask)
+
+    return rule

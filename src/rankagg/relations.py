@@ -1,11 +1,18 @@
-"""Weak orders, strict digraphs, and linear-order extensions over small ground sets.
+"""Weak orders, strict relations and linear-order extensions over small ground sets.
 
 Alternatives are dense integer ids; sets of alternatives are int bitmasks
 (ground sets capped at 64 elements, far above anything this library is used
 for). A weak order is stored as an ordered partition into indifference tiers,
 best tier first, which makes reflexivity, completeness, and transitivity
-structural rather than checked. Strict digraphs are asymmetric arc sets;
-asymmetry is enforced at construction so that violations fail fast.
+structural rather than checked.
+
+Relations are computed as bitmasks. A relation on n nodes packs into one
+int: node x's mask of the nodes above it sits at bits x*n .. x*n + n - 1, so
+bit b*n + a reads "a strictly above b" (see ``pack``). ``StrictDigraph``, an
+asymmetric arc set checked at construction, is the public form of a result;
+``packed_digraph`` builds it from the packed int. ``linear_extension`` and
+the verify kernel share one tiebreak-first extension,
+``extension_mask_relation``.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safely shareable between threads.
@@ -97,18 +104,6 @@ class WeakOrder:
         """True when ``a`` is strictly better than ``b``."""
         return self.ranks[a] < self.ranks[b]
 
-    def indifferent(self, a: int, b: int) -> bool:
-        return self.ranks[a] == self.ranks[b]
-
-    def to_lists(self) -> list[list[int]]:
-        return [sorted(bits(t)) for t in self.tiers]
-
-    def as_sequence(self) -> tuple[int, ...]:
-        """The id sequence of a linear order, best first."""
-        if not self.is_linear:
-            raise ValueError("order is not linear")
-        return tuple(t.bit_length() - 1 for t in self.tiers)
-
 
 @dataclass(frozen=True)
 class StrictDigraph:
@@ -125,9 +120,6 @@ class StrictDigraph:
                 raise ValueError(f"arc ({a}, {b}) leaves the ground set")
             if (b, a) in self.arcs:
                 raise ValueError(f"asymmetry violated on ({a}, {b})")
-
-    def has_arc(self, a: int, b: int) -> bool:
-        return (a, b) in self.arcs
 
 
 @dataclass(frozen=True)
@@ -209,15 +201,22 @@ def arcs_mask_relation(arcs: Iterable[tuple[int, int]], n: int) -> MaskRelation:
     return above, pack(above, n), pack(below, n)
 
 
+def packed_digraph(packed: int, n: int, ground: int) -> StrictDigraph:
+    """The arcs of a packed relation on ``n`` nodes as a StrictDigraph."""
+    return StrictDigraph(ground, frozenset((i % n, i // n) for i in bits(packed)))
+
+
 def extension_mask_relation(
     constraint: int, n: int, tiebreak: tuple[int, ...]
 ) -> MaskRelation | None:
-    """``linear_extension`` on a packed constraint, as a mask relation.
+    """The tiebreak-first linear extension of a packed constraint, as a
+    mask relation.
 
     ``tiebreak`` lists the nodes best first. Each step places the first
     remaining node in tiebreak order that no remaining node is constrained
-    above, which is the node Kahn's algorithm in ``linear_extension`` pops.
-    Returns None when the constraint has a directed cycle.
+    above. Returns None when the constraint has a directed cycle. When
+    ``tiebreak`` lists only some of the ``n`` nodes (a sparse ground set, as
+    ``linear_extension`` passes), only ``above`` is meaningful.
     """
     rest = (1 << n) - 1
     placed = 0
@@ -243,67 +242,6 @@ def extension_mask_relation(
 def _off_diagonal(n: int) -> int:
     full = (1 << n) - 1
     return pack([full ^ 1 << x for x in range(n)], n)
-
-
-def indifferent_pairs(order: WeakOrder) -> frozenset[tuple[int, int]]:
-    """Off-diagonal symmetric part of ``order``, as (a, b) pairs with a < b."""
-    pairs = []
-    for tier in order.tiers:
-        members = list(bits(tier))
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                pairs.append((a, b))
-    return frozenset(pairs)
-
-
-def relation_pairs(order: WeakOrder) -> frozenset[tuple[int, int]]:
-    """The full induced relation of ``order`` as explicit (a, b) pairs."""
-    ranks = order.ranks
-    members = sorted(ranks)
-    return frozenset(
-        (a, b) for a in members for b in members if ranks[a] <= ranks[b]
-    )
-
-
-def is_reflexive(pairs: frozenset[tuple[int, int]], ground: int) -> bool:
-    return all((a, a) in pairs for a in bits(ground))
-
-
-def is_complete(pairs: frozenset[tuple[int, int]], ground: int) -> bool:
-    members = list(bits(ground))
-    return all(
-        (a, b) in pairs or (b, a) in pairs
-        for a in members
-        for b in members
-    )
-
-
-def is_transitive(pairs: frozenset[tuple[int, int]]) -> bool:
-    return all(
-        (a, d) in pairs
-        for a, b in pairs
-        for c, d in pairs
-        if b == c
-    )
-
-
-def is_antisymmetric(pairs: frozenset[tuple[int, int]]) -> bool:
-    return all(a == b for a, b in pairs if (b, a) in pairs)
-
-
-def is_asymmetric(pairs: frozenset[tuple[int, int]]) -> bool:
-    return all((b, a) not in pairs for a, b in pairs)
-
-
-def restrict(order: WeakOrder, keep: int) -> WeakOrder:
-    """Restrict ``order`` to the elements of the bitmask ``keep``.
-
-    Tier order is preserved; tiers that become empty are dropped.
-    """
-    if keep & ~order.ground:
-        extra = sorted(bits(keep & ~order.ground))
-        raise ValueError(f"restriction set leaves the ground set: {extra}")
-    return WeakOrder(tuple(t & keep for t in order.tiers if t & keep))
 
 
 def is_acyclic(digraph: StrictDigraph) -> tuple[bool, tuple[int, ...] | None]:
@@ -345,44 +283,22 @@ def is_acyclic(digraph: StrictDigraph) -> tuple[bool, tuple[int, ...] | None]:
 def linear_extension(digraph: StrictDigraph, tiebreak: WeakOrder) -> WeakOrder:
     """Extend an acyclic digraph to a linear order, deterministically.
 
-    Repeatedly emits the source node (no remaining in-arcs) that is minimal
-    under ``tiebreak``, so identical inputs always produce the same order.
-    ``tiebreak`` must be a linear order on the digraph's ground set. Raises
-    CyclicRelationError when the digraph has a directed cycle.
+    Repeatedly places the node, first in ``tiebreak`` order, that no
+    remaining node is above (``extension_mask_relation``), so identical
+    inputs always produce the same order. ``tiebreak`` must be a linear order
+    on the digraph's ground set. Raises CyclicRelationError when the digraph
+    has a directed cycle.
     """
     if not tiebreak.is_linear or tiebreak.ground != digraph.ground:
         raise ValueError("tiebreak must be a linear order on the digraph ground")
-    rank = tiebreak.ranks
-    indegree = {a: 0 for a in bits(digraph.ground)}
-    succ: dict[int, list[int]] = {a: [] for a in indegree}
-    for a, b in digraph.arcs:
-        succ[a].append(b)
-        indegree[b] += 1
-    ready = sorted((a for a, d in indegree.items() if d == 0), key=rank.__getitem__)
-    out: list[int] = []
-    while ready:
-        node = ready.pop(0)
-        out.append(node)
-        freed = []
-        for b in succ[node]:
-            indegree[b] -= 1
-            if indegree[b] == 0:
-                freed.append(b)
-        if freed:
-            ready = sorted(ready + freed, key=rank.__getitem__)
-    if len(out) != len(indegree):
-        cyclic, witness = is_acyclic(digraph)
-        assert not cyclic and witness is not None
-        raise CyclicRelationError(witness)
-    return WeakOrder.from_ranking(out)
-
-
-def extends(order: WeakOrder, digraph: StrictDigraph) -> bool:
-    """True when ``order`` is a linear-order extension of ``digraph``."""
-    if not order.is_linear or order.ground != digraph.ground:
-        return False
-    ranks = order.ranks
-    return all(ranks[a] < ranks[b] for a, b in digraph.arcs)
+    n = digraph.ground.bit_length()
+    sequence = tuple(tier.bit_length() - 1 for tier in tiebreak.tiers)
+    extension = extension_mask_relation(arcs_mask_relation(digraph.arcs, n)[1], n, sequence)
+    if extension is None:
+        raise CyclicRelationError(is_acyclic(digraph)[1])
+    above = extension[0]
+    # in a linear order a node's position is the number of nodes above it
+    return WeakOrder.from_ranking(sorted(sequence, key=lambda x: above[x].bit_count()))
 
 
 def enumerate_weak_orders(mask: int) -> Iterator[WeakOrder]:

@@ -2,12 +2,14 @@
 
 The oracles recompute expectations from first principles (explicit pair
 sets, permutation sweeps, recurrences, the axiom sweep on arc sets in
-``reference_verify``) without touching the library's own shortcut
+``reference_verify``, the builtin rules on frozensets of arcs in
+``reference_rule``) without touching the library's own shortcut
 representations, so the two sides of each comparison stay independent. The
 single-axiom ``check_*`` wrappers and ``quasi_dictators`` are conveniences
 over ``verify_rule`` that only the tests use, as are the evaluator and
 union-graph queries (``evaluators_of``, ``graph_edges``, ``is_cyclic_subset``
-and the like).
+and the like) and the weak-order and pair-set queries (``relation_pairs``,
+``restrict``, ``extends`` and the like).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from rankagg.profiles import (
     build_union_graph,
     complete_individuals,
 )
+from rankagg.aggregators import default_tiebreak, maximal_cycle_family, pair_delegates
 from rankagg.properties import (
     AXIOM_IDS,
     DEFAULT_BUDGET,
@@ -31,7 +34,15 @@ from rankagg.properties import (
     ranking_space_size,
     verify_rule,
 )
-from rankagg.relations import RankingProfile, bits, weak_orders_on
+from rankagg.relations import (
+    CyclicRelationError,
+    RankingProfile,
+    StrictDigraph,
+    WeakOrder,
+    bits,
+    is_acyclic,
+    weak_orders_on,
+)
 
 
 def ordered_bell_recurrence(n: int) -> int:
@@ -71,6 +82,69 @@ def pairs_complete(pairs: set[tuple[int, int]], members: list[int]) -> bool:
 
 def pairs_transitive(pairs: set[tuple[int, int]]) -> bool:
     return all((a, d) in pairs for a, b in pairs for c, d in pairs if b == c)
+
+
+def pairs_antisymmetric(pairs: set[tuple[int, int]]) -> bool:
+    return all(a == b for a, b in pairs if (b, a) in pairs)
+
+
+def pairs_asymmetric(pairs: set[tuple[int, int]]) -> bool:
+    return all((b, a) not in pairs for a, b in pairs)
+
+
+# ---------------------------------------------------------------------------
+# Weak-order queries on explicit pairs and id sequences
+# ---------------------------------------------------------------------------
+
+
+def relation_pairs(order: WeakOrder) -> frozenset[tuple[int, int]]:
+    """The full induced relation of ``order`` as explicit (a, b) pairs."""
+    ranks = order.ranks
+    members = sorted(ranks)
+    return frozenset(
+        (a, b) for a in members for b in members if ranks[a] <= ranks[b]
+    )
+
+
+def indifferent_pairs(order: WeakOrder) -> frozenset[tuple[int, int]]:
+    """Off-diagonal symmetric part of ``order``, as (a, b) pairs with a < b."""
+    pairs = []
+    for tier in order.tiers:
+        members = list(bits(tier))
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                pairs.append((a, b))
+    return frozenset(pairs)
+
+
+def to_lists(order: WeakOrder) -> list[list[int]]:
+    return [sorted(bits(t)) for t in order.tiers]
+
+
+def as_sequence(order: WeakOrder) -> tuple[int, ...]:
+    """The id sequence of a linear order, best first."""
+    if not order.is_linear:
+        raise ValueError("order is not linear")
+    return tuple(t.bit_length() - 1 for t in order.tiers)
+
+
+def restrict(order: WeakOrder, keep: int) -> WeakOrder:
+    """Restrict ``order`` to the elements of the bitmask ``keep``.
+
+    Tier order is preserved; tiers that become empty are dropped.
+    """
+    if keep & ~order.ground:
+        extra = sorted(bits(keep & ~order.ground))
+        raise ValueError(f"restriction set leaves the ground set: {extra}")
+    return WeakOrder(tuple(t & keep for t in order.tiers if t & keep))
+
+
+def extends(order: WeakOrder, digraph: StrictDigraph) -> bool:
+    """True when ``order`` is a linear-order extension of ``digraph``."""
+    if not order.is_linear or order.ground != digraph.ground:
+        return False
+    ranks = order.ranks
+    return all(ranks[a] < ranks[b] for a, b in digraph.arcs)
 
 
 def simple_cycles(adjacency: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
@@ -365,3 +439,150 @@ def reference_verify(arf, profile: EvaluabilityProfile, axioms=AXIOM_IDS) -> Pro
             ce = None if dictator is None else Counterexample("nd", individual=dictator)
         verdicts.append(AxiomVerdict(axiom, ce is None, ce))
     return PropertyReport(tuple(verdicts), quasi, ranking_space_size(profile))
+
+
+# ---------------------------------------------------------------------------
+# Reference rules: the builtin rules on frozensets of arcs, one pair at a
+# time, with a Kahn linear extension. The library defines the same rules by
+# packed rows per (individual, weak order).
+# ---------------------------------------------------------------------------
+
+
+def reference_unanimity_arcs(profile: EvaluabilityProfile, rankings: RankingProfile) -> StrictDigraph:
+    """Arc (a, b) iff some individual evaluates both and all such
+    individuals strictly prefer a to b."""
+    ev = profile.evaluator_masks
+    arcs = []
+    n = profile.n_alts
+    for a in range(n):
+        for b in range(a + 1, n):
+            shared = ev[a] & ev[b]
+            if not shared:
+                continue
+            a_over_b = True
+            b_over_a = True
+            for v in bits(shared):
+                ranks = rankings.orders[v].ranks
+                ra, rb = ranks[a], ranks[b]
+                if ra >= rb:
+                    a_over_b = False
+                if rb >= ra:
+                    b_over_a = False
+                if not a_over_b and not b_over_a:
+                    break
+            if a_over_b:
+                arcs.append((a, b))
+            elif b_over_a:
+                arcs.append((b, a))
+    return StrictDigraph(profile.full_mask, frozenset(arcs))
+
+
+def reference_delegation_arcs(
+    rankings: RankingProfile,
+    delegates: dict[tuple[int, int], int],
+    tiebreak: WeakOrder,
+) -> StrictDigraph:
+    """One arc per delegated pair, as its delegate ranks it, ties resolved
+    by ``tiebreak``."""
+    arcs = []
+    for (a, b), v in delegates.items():
+        ranks = rankings.orders[v].ranks
+        ra, rb = ranks[a], ranks[b]
+        if ra < rb:
+            arcs.append((a, b))
+        elif rb < ra:
+            arcs.append((b, a))
+        elif tiebreak.ranks[a] < tiebreak.ranks[b]:
+            arcs.append((a, b))
+        else:
+            arcs.append((b, a))
+    return StrictDigraph(tiebreak.ground, frozenset(arcs))
+
+
+def reference_linear_extension(digraph: StrictDigraph, tiebreak: WeakOrder) -> WeakOrder:
+    """Kahn's algorithm, always emitting the ready node first in ``tiebreak``."""
+    if not tiebreak.is_linear or tiebreak.ground != digraph.ground:
+        raise ValueError("tiebreak must be a linear order on the digraph ground")
+    rank = tiebreak.ranks
+    indegree = {a: 0 for a in bits(digraph.ground)}
+    succ: dict[int, list[int]] = {a: [] for a in indegree}
+    for a, b in digraph.arcs:
+        succ[a].append(b)
+        indegree[b] += 1
+    ready = sorted((a for a, d in indegree.items() if d == 0), key=rank.__getitem__)
+    out: list[int] = []
+    while ready:
+        node = ready.pop(0)
+        out.append(node)
+        freed = []
+        for b in succ[node]:
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                freed.append(b)
+        if freed:
+            ready = sorted(ready + freed, key=rank.__getitem__)
+    if len(out) != len(indegree):
+        cyclic, witness = is_acyclic(digraph)
+        assert not cyclic and witness is not None
+        raise CyclicRelationError(witness)
+    return WeakOrder.from_ranking(out)
+
+
+def _strict_arcs(order: WeakOrder) -> frozenset[tuple[int, int]]:
+    ranks = order.ranks
+    return frozenset((a, b) for a in ranks for b in ranks if ranks[a] < ranks[b])
+
+
+def reference_rule(rule_id: str, profile: EvaluabilityProfile, tiebreak: WeakOrder | None = None):
+    """The builtin rule ``rule_id`` of ``make_rule``, from its definition."""
+    name, _, argument = rule_id.partition(":")
+    tb = tiebreak if tiebreak is not None else default_tiebreak(profile)
+    full = profile.full_mask
+
+    def extended(constraint: StrictDigraph) -> StrictDigraph:
+        try:
+            order = reference_linear_extension(constraint, tb)
+        except CyclicRelationError:  # degenerate: everything tied
+            return StrictDigraph(full, frozenset())
+        return StrictDigraph(full, _strict_arcs(order))
+
+    if name == "fstar":
+        return lambda rankings: extended(reference_unanimity_arcs(profile, rankings))
+    if name == "fstarstar":
+        delegates = pair_delegates(profile, maximal_cycle_family(profile))
+        return lambda rankings: extended(reference_delegation_arcs(rankings, delegates, tb))
+    if name == "constant":
+        return lambda rankings: StrictDigraph(full, _strict_arcs(tb))
+    if name == "majority":
+        ev = profile.evaluator_masks
+        pairs = [
+            (a, b, tuple(bits(ev[a] & ev[b])))
+            for a in range(profile.n_alts)
+            for b in range(a + 1, profile.n_alts)
+            if ev[a] & ev[b]
+        ]
+
+        def majority(rankings: RankingProfile) -> StrictDigraph:
+            arcs = []
+            for a, b, evaluators in pairs:
+                tally = 0
+                for v in evaluators:
+                    ranks = rankings.orders[v].ranks
+                    tally += (ranks[a] < ranks[b]) - (ranks[b] < ranks[a])
+                if tally > 0:
+                    arcs.append((a, b))
+                elif tally < 0:
+                    arcs.append((b, a))
+            return StrictDigraph(full, frozenset(arcs))
+
+        return majority
+    if name == "dictatorship":
+        chief = profile.ind_index[argument] if argument else 0
+        rest = full & ~profile.evaluable[chief]
+
+        def dictatorship(rankings: RankingProfile) -> StrictDigraph:
+            tiers = rankings.orders[chief].tiers
+            return StrictDigraph(full, _strict_arcs(WeakOrder(tiers + (rest,) if rest else tiers)))
+
+        return dictatorship
+    raise ValueError(f"unknown rule {rule_id!r}")

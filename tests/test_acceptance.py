@@ -37,11 +37,12 @@ from rankagg.conditions import (
 )
 from rankagg.profiles import build_profile, complete_individuals
 from rankagg.properties import enumerate_rankings, make_rule, verify_rule
-from rankagg.relations import RankingProfile, WeakOrder, extends, is_acyclic
+from rankagg.relations import RankingProfile, WeakOrder, is_acyclic
 
 from helpers import (
     all_profiles_masks,
     distinct_clique_families,
+    extends,
     naive_cycle_cover,
     profile_from_masks,
     random_profile,

@@ -16,13 +16,12 @@ from rankagg.relations import (
     RankingProfile,
     WeakOrder,
     bits,
-    extends,
     mask_of,
     strict_part,
     weak_orders_on,
 )
 
-from helpers import all_profiles_masks, common_evaluators, profile_from_masks
+from helpers import all_profiles_masks, as_sequence, common_evaluators, extends, profile_from_masks
 
 EXAMPLE_ARCS = frozenset({
     (1, 3), (1, 0), (1, 2), (3, 0), (3, 2),
@@ -97,13 +96,13 @@ def test_example_unanimity_aggregate(example, example_rankings):
     result = aggregate_unanimity(example, example_rankings)
     assert not result.degenerate
     assert extends(result.order, result.constraint)
-    assert result.order.as_sequence() == (1, 4, 6, 5, 3, 0, 2)
+    assert as_sequence(result.order) == (1, 4, 6, 5, 3, 0, 2)
 
 
 def test_unanimous_profile_returns_shared_order():
     profile, rankings = _all_complete(3, [(2, 0, 1)] * 3)
     result = aggregate_unanimity(profile, rankings)
-    assert result.order.as_sequence() == (2, 0, 1)
+    assert as_sequence(result.order) == (2, 0, 1)
 
 
 def test_cycle_witness_degenerates_unanimity_rule():
@@ -261,7 +260,7 @@ def test_example_delegation_aggregate(example, example_rankings):
     assert not result.degenerate
     assert result.constraint.arcs == EXAMPLE_ARCS
     assert extends(result.order, result.constraint)
-    assert result.order.as_sequence() == (1, 4, 6, 5, 3, 0, 2)
+    assert as_sequence(result.order) == (1, 4, 6, 5, 3, 0, 2)
     # a hand-picked alternative sequence is another valid extension
     assert extends(WeakOrder.from_ranking([1, 4, 6, 5, 3, 0, 2]), result.constraint)
 
@@ -310,7 +309,7 @@ def test_all_indifferent_rankings_follow_tiebreak(example):
     assert not result.degenerate
     # with everyone indifferent, every decided pair follows the tiebreak,
     # so the extension is the tiebreak order itself
-    assert result.order.as_sequence() == tuple(range(7))
+    assert as_sequence(result.order) == tuple(range(7))
     rerun = aggregate_delegation(example, rankings)
     assert rerun == result
 

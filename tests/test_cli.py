@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -248,6 +249,28 @@ def test_verify_budget_exceeded_exits_4(capsys, example_paths):
     assert code == 4
     assert out == ""
     assert "2925" in err
+
+
+def test_verify_budget_refused_before_any_rule_is_compiled(capsys, tmp_path):
+    # 545,835 weak orders for v1 times 3 and 3: a space of 4,912,515
+    letters = list("abcdefgh")
+    path = tmp_path / "wide.json"
+    path.write_text(dumps({
+        "schema_version": 1,
+        "alternatives": letters,
+        "individuals": [
+            {"id": "v1", "evaluates": letters},
+            {"id": "v2", "evaluates": ["a", "b"]},
+            {"id": "v3", "evaluates": ["c", "d"]},
+        ],
+    }), encoding="utf-8")
+    for rule in ("fstar", "fstarstar", "constant", "majority", "dictatorship:v1"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--rule", rule, "--budget", "10", str(path))
+        assert time.perf_counter() - start < 1.0, rule
+        assert code == 4, rule
+        assert out == ""
+        assert "4912515" in err
 
 
 def test_verify_unknown_axiom_exits_2(capsys, example_paths):

@@ -24,6 +24,7 @@ from rankagg.aggregators import unanimity_relation
 
 from helpers import (
     all_profiles_masks,
+    as_sequence,
     distinct_clique_families,
     has_edge,
     is_cyclic_subset,
@@ -225,9 +226,9 @@ def test_peer_rating_witness_rankings(peer_rating):
     witness = cyclic_rankings(peer_rating, (0, 1, 2))
     assert witness.pivots == (0, 1, 2)
     # expected: 3 over 2, 1 over 3, 2 over 1
-    assert witness.rankings.orders[0].as_sequence() == (2, 1)
-    assert witness.rankings.orders[1].as_sequence() == (0, 2)
-    assert witness.rankings.orders[2].as_sequence() == (1, 0)
+    assert as_sequence(witness.rankings.orders[0]) == (2, 1)
+    assert as_sequence(witness.rankings.orders[1]) == (0, 2)
+    assert as_sequence(witness.rankings.orders[2]) == (1, 0)
     constraint = unanimity_relation(peer_rating, witness.rankings)
     assert constraint.arcs == {(1, 0), (2, 1), (0, 2)}
     acyclic, cycle = is_acyclic(constraint)
@@ -241,7 +242,7 @@ def test_witness_restrictions_follow_rotations(peer_rating):
         pivot = witness.pivots[v]
         rotation = [cycle[(pivot - k) % len(cycle)] for k in range(len(cycle))]
         expected = [a for a in rotation if (peer_rating.evaluable[v] >> a) & 1]
-        kept = [a for a in order.as_sequence() if a in set(cycle)]
+        kept = [a for a in as_sequence(order) if a in set(cycle)]
         assert kept == expected
 
 
