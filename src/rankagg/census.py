@@ -2,8 +2,9 @@
 
 Counts are over labeled individuals: with n alternatives there are
 2^n - n - 1 admissible evaluable sets (size at least 2), hence
-(2^n - n - 1)^m labeled profiles for m individuals. Verdicts are memoized by
-the sorted mask tuple.
+(2^n - n - 1)^m labeled profiles for m individuals. The brute census
+memoizes verdicts by the sorted mask tuple, since many labeled profiles share
+one multiset.
 
 The brute census classifies every labeled profile. The symmetric census uses
 maximal support: a profile's verdict depends only on its maximal evaluable
@@ -17,7 +18,8 @@ inclusion-exclusion there are
 
 of them, which is zero unless |A| <= m. The symmetric census therefore
 classifies one profile per antichain with at most m members and weights it
-by that sum; the counts must equal the brute counts exactly. Its budget is
+by that sum; the counts must equal the brute counts exactly. Every antichain
+gives a distinct profile, so nothing is memoized there. Its budget is
 charged on those antichains, counted before anything is classified.
 
 All counts and proportions are exact (big integers and Fractions); decimal
@@ -237,7 +239,8 @@ def census_symmetric(
         raise CensusBudgetError(
             required, budget, f"maximal-support census has more than {budget} antichains"
         )
-    cache = _VerdictCache(n_alts, n_inds)
+    alts = _generic_names("a", n_alts)
+    inds = _generic_names("v", n_inds)
     counts: Counter[str] = Counter()
 
     def walk(members: tuple[int, ...], candidates: int, down: int) -> None:
@@ -249,7 +252,8 @@ def census_symmetric(
             reach = down | below[i]
             padded = chosen + chosen[-1:] * (n_inds - len(chosen))
             weight = support_weight(len(chosen), reach.bit_count(), n_inds)
-            counts[cache.verdict(padded)] += weight
+            verdict = classify(EvaluabilityProfile(alts, inds, padded)).verdict
+            counts[verdict] += weight
             rest = candidates & ~above[i]
             if rest and len(chosen) < n_inds:
                 walk(chosen, rest, reach)

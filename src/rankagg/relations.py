@@ -150,13 +150,12 @@ def strict_part(order: WeakOrder) -> StrictDigraph:
 
 
 # ---------------------------------------------------------------------------
-# Mask relations. An output relation on n alternatives is kept as the list of
-# per-node masks ``above[x]`` (the nodes strictly above x) plus two packed
+# Mask relations. An output relation on n alternatives is kept as two packed
 # ints: node x's mask of nodes strictly above it (resp. below it) sits at
 # bits x*n .. x*n + n - 1. Arc (a, b) is bit b*n + a of the packed "above".
 # ---------------------------------------------------------------------------
 
-MaskRelation = tuple[list[int], int, int]
+MaskRelation = tuple[int, int]
 
 
 def strictly_above(order: WeakOrder, n: int) -> list[int]:
@@ -188,17 +187,16 @@ def mask_relation(order: WeakOrder, n: int) -> MaskRelation:
         worse ^= tier
         for a in bits(tier):
             below[a] = worse
-    return above, pack(above, n), pack(below, n)
+    return pack(above, n), pack(below, n)
 
 
 def arcs_mask_relation(arcs: Iterable[tuple[int, int]], n: int) -> MaskRelation:
     """An arc set (a strictly above b for each (a, b)) as a mask relation."""
-    above = [0] * n
-    below = [0] * n
+    above = below = 0
     for a, b in arcs:
-        above[b] |= 1 << a
-        below[a] |= 1 << b
-    return above, pack(above, n), pack(below, n)
+        above |= 1 << (b * n + a)
+        below |= 1 << (a * n + b)
+    return above, below
 
 
 def packed_digraph(packed: int, n: int, ground: int) -> StrictDigraph:
@@ -216,11 +214,10 @@ def extension_mask_relation(
     remaining node in tiebreak order that no remaining node is constrained
     above. Returns None when the constraint has a directed cycle. When
     ``tiebreak`` lists only some of the ``n`` nodes (a sparse ground set, as
-    ``linear_extension`` passes), only ``above`` is meaningful.
+    ``linear_extension`` passes), only the packed "above" is meaningful.
     """
     rest = (1 << n) - 1
     placed = 0
-    above = [0] * n
     packed_above = 0
     waiting = list(tiebreak)
     while waiting:
@@ -231,11 +228,10 @@ def extension_mask_relation(
             return None
         del waiting[j]
         rest ^= 1 << x
-        above[x] = placed
         packed_above |= placed << x * n
         placed |= 1 << x
     # in a linear order every other node is either above or below
-    return above, packed_above, _off_diagonal(n) ^ packed_above
+    return packed_above, _off_diagonal(n) ^ packed_above
 
 
 @lru_cache(maxsize=None)
@@ -293,12 +289,16 @@ def linear_extension(digraph: StrictDigraph, tiebreak: WeakOrder) -> WeakOrder:
         raise ValueError("tiebreak must be a linear order on the digraph ground")
     n = digraph.ground.bit_length()
     sequence = tuple(tier.bit_length() - 1 for tier in tiebreak.tiers)
-    extension = extension_mask_relation(arcs_mask_relation(digraph.arcs, n)[1], n, sequence)
+    extension = extension_mask_relation(arcs_mask_relation(digraph.arcs, n)[0], n, sequence)
     if extension is None:
         raise CyclicRelationError(is_acyclic(digraph)[1])
-    above = extension[0]
-    # in a linear order a node's position is the number of nodes above it
-    return WeakOrder.from_ranking(sorted(sequence, key=lambda x: above[x].bit_count()))
+    above, full = extension[0], (1 << n) - 1
+
+    def position(x: int) -> int:
+        # in a linear order a node's position is the number of nodes above it
+        return (above >> x * n & full).bit_count()
+
+    return WeakOrder.from_ranking(sorted(sequence, key=position))
 
 
 def enumerate_weak_orders(mask: int) -> Iterator[WeakOrder]:

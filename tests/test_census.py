@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rankagg import census
 from rankagg.census import (
     CensusBudgetError,
     census_brute,
@@ -90,6 +91,21 @@ def test_symmetric_census_matches_brute():
         assert (symmetric.ip, symmetric.dp, symmetric.pp) == (brute.ip, brute.dp, brute.pp)
         assert symmetric.total == brute.total
         assert symmetric.method == "symmetric" and brute.method == "brute"
+
+
+def test_symmetric_census_memoizes_nothing(monkeypatch):
+    # every antichain is a distinct profile, so a verdict cache never hits
+    brute = census_brute(4, 4)
+
+    class Refused:
+        def __init__(self, *args):
+            raise AssertionError("the symmetric census built a verdict cache")
+
+    monkeypatch.setattr(census, "_VerdictCache", Refused)
+    symmetric = census_symmetric(4, 4)
+    assert (symmetric.ip, symmetric.dp, symmetric.pp) == (brute.ip, brute.dp, brute.pp)
+    with pytest.raises(AssertionError):
+        census_brute(3, 3)
 
 
 @pytest.mark.slow

@@ -7,14 +7,18 @@ the axioms on explicit arc sets of the rule's frozenset definition. On every
 ranking profile the rule closures, ``unanimity_relation`` and
 ``delegation_relation`` must also equal those definitions. Every (3, 3)
 multiset profile and a seeded sample of larger profiles run by default; the
-wider samples are marked slow.
+wider samples are marked slow. The sweep's memos are checked for exactness
+at a one-entry bound and for doing each piece of work once per distinct value.
 """
 
 import itertools
+import json
 import random
+from importlib import resources
 
 import pytest
 
+from rankagg import properties
 from rankagg.aggregators import (
     default_tiebreak,
     delegation_relation,
@@ -22,6 +26,7 @@ from rankagg.aggregators import (
     pair_delegates,
     unanimity_relation,
 )
+from rankagg.cli import parse_profile_document
 from rankagg.conditions import check_cycle_cover
 from rankagg.profiles import build_profile
 from rankagg.properties import (
@@ -31,7 +36,7 @@ from rankagg.properties import (
     ranking_space_size,
     verify_rule,
 )
-from rankagg.relations import WeakOrder, weak_orders_on
+from rankagg.relations import WeakOrder, extension_mask_relation, weak_orders_on
 
 from helpers import (
     profile_from_masks,
@@ -116,6 +121,56 @@ def test_definitions_match_reference_on_every_three_by_three_multiset():
 def test_definitions_match_reference_on_sampled_profiles():
     for profile in _sampled_profiles(seed=6, count=6, max_space=1000):
         _assert_definitions_agree(profile)
+
+
+def test_kernel_matches_reference_with_one_entry_memos(monkeypatch):
+    # every memo is emptied before each insertion, so each lookup after a
+    # different value misses and the clearing path runs constantly
+    monkeypatch.setattr(properties, "_MEMO_LIMIT", 1)
+    for profile in _three_by_three_multisets():
+        _assert_paths_agree(profile)
+
+
+def _golden_profile():
+    document = json.loads(
+        resources.files("rankagg").joinpath("golden", "example_profile.json").read_text()
+    )
+    return parse_profile_document(document)
+
+
+def test_fstarstar_extends_each_distinct_constraint_once(monkeypatch):
+    profile = _golden_profile()
+    family = maximal_cycle_family(profile)
+    constraints = {
+        delegation_relation(profile, rankings, family)
+        for rankings in enumerate_rankings(profile)
+    }
+    calls = []
+
+    def counting(constraint, n, tiebreak):
+        calls.append(constraint)
+        return extension_mask_relation(constraint, n, tiebreak)
+
+    monkeypatch.setattr(properties, "extension_mask_relation", counting)
+    report = verify_rule(make_rule("fstarstar", profile), profile)
+    assert report.profile_space_size == 2925
+    assert len(calls) == len(set(calls)) == len(constraints) == 288
+
+
+def test_tv_is_checked_once_per_distinct_output(monkeypatch):
+    profile = _golden_profile()
+    outputs = {make_rule("fstar", profile)(r) for r in enumerate_rankings(profile)}
+    first_tv_triple = properties._first_tv_triple
+    calls = []
+
+    def counting(above):
+        calls.append(tuple(above))
+        return first_tv_triple(above)
+
+    monkeypatch.setattr(properties, "_first_tv_triple", counting)
+    report = verify_rule(make_rule("fstar", profile), profile)
+    assert report.verdict("tv").passed
+    assert len(calls) == len(set(calls)) == len(outputs) == 288
 
 
 def test_budget_refusal_enumerates_no_weak_order():
