@@ -293,12 +293,11 @@ def linear_extension(digraph: StrictDigraph, tiebreak: WeakOrder) -> WeakOrder:
     if extension is None:
         raise CyclicRelationError(is_acyclic(digraph)[1])
     above, full = extension[0], (1 << n) - 1
-
-    def position(x: int) -> int:
+    ranking = [0] * len(sequence)
+    for x in sequence:
         # in a linear order a node's position is the number of nodes above it
-        return (above >> x * n & full).bit_count()
-
-    return WeakOrder.from_ranking(sorted(sequence, key=position))
+        ranking[(above >> x * n & full).bit_count()] = x
+    return WeakOrder.from_ranking(ranking)
 
 
 def enumerate_weak_orders(mask: int) -> Iterator[WeakOrder]:
