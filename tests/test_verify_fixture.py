@@ -2,9 +2,12 @@
 
 ``tests/data/verify_reports.json`` holds the exit code, the JSON report and
 the stderr of ``verify`` for every builtin rule, with the default and the
-reversed tiebreak, on three profiles: the 7-alternative golden PP profile, a
-4-alternative DP profile and a 5-alternative IP profile (where ``fstarstar``
-exits 3). The test recomputes the file and compares it byte for byte, so a
+reversed tiebreak, on four profiles: the 7-alternative golden PP profile, a
+4-alternative DP profile, a 5-alternative IP profile (where ``fstarstar``
+exits 3) and a 6-alternative PP profile whose last individual evaluates
+(a4, a6) and (a5, a6) alone and shares (a4, a5), so that ``fstar``'s first iia
+counterexample falls on a shared pair with one tiebreak and on a pair only
+the last individual evaluates with the other. The test recomputes the file and compares it byte for byte, so a
 change to the verify kernel cannot alter a report unnoticed.
 
 Regenerate (only when a report is meant to change) with
@@ -43,6 +46,7 @@ def _profiles():
         ("golden-pp-7", json.loads(golden.read_text(encoding="utf-8"))),
         ("dp-4", _document(4, [[0, 1, 2, 3], [0, 2], [1, 3]])),
         ("ip-5", _document(5, [[0, 1, 2], [2, 3, 4], [0, 4]])),
+        ("pp-6", _document(6, [[0, 1, 2], [2, 3], [3, 4], [3, 4, 5]])),
     )
 
 
