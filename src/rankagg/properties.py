@@ -159,18 +159,35 @@ def _outcome(arcs: frozenset[tuple[int, int]], a: int, b: int) -> int:
 # per weak order of weak_orders_on their evaluable set: the verifier's own
 # rows (aggregators.unanimity_row among them) and the rule's row. Nested
 # loops over individuals, in the product order of enumerate_rankings, carry
-# the AND of the unanimity rows and the sum of the code rows, so each ranking
-# profile costs one combine with the last individual's row. A rule decides
-# its output from the carried values and the verifier checks every axiom on
-# the output's mask relation (relations.MaskRelation). Packed masks put node
-# b's row at bit b*n, so bit b*n + a of a packed relation reads "a above b".
+# the AND of the unanimity rows, the sum of the code rows and the OR of the
+# dominance rows, so each ranking profile costs one combine with the last
+# individual's row. A rule decides its output from the carried values and
+# the verifier checks every axiom on the output's mask relation
+# (relations.MaskRelation). Packed masks put node b's row at bit b*n, so bit
+# b*n + a of a packed relation reads "a above b".
+#
+# Each check runs once per value it depends on. tv and nc depend only on the
+# output, so they run once per distinct packed output. nd runs its
+# per-individual loop only when the carried OR of everyone's strict
+# preferences is not inside the output. iia splits the common pairs by how
+# the last individual L, the one the innermost loop runs over, evaluates
+# them:
+# * a pair L does not evaluate has one signature per prefix, so the AND and
+#   OR of the outputs over the innermost loop decide it once per prefix;
+# * a pair only L evaluates has L's vote as its signature, so the first
+#   prefix's output for each of L's orders is checked once, and every later
+#   profile is one XOR against it;
+# * a pair L shares with an earlier individual is checked per profile.
+# Any conflict is real, and then the exact per-profile loop reruns from the
+# first profile to its first violation, which keeps the reported profiles
+# and pair those of the plain check.
 #
 # Two memos skip work that depends only on a value already seen: fstarstar
-# extends each distinct delegation constraint once, and tv is checked once
-# per distinct output (any rule, closures included). On the golden
-# 7-alternative profile the 2,925 ranking profiles give 288 distinct
-# constraints. Each memo is emptied when it holds _MEMO_LIMIT entries, so
-# memory stays flat on spaces whose outputs approach n!.
+# extends each distinct delegation constraint once, and the sweep keeps the
+# distinct outputs seen. On the golden 7-alternative profile the 2,925
+# ranking profiles give 288 distinct constraints. Each memo is emptied when
+# it holds _MEMO_LIMIT entries, so memory stays flat on spaces whose outputs
+# approach n!.
 # ---------------------------------------------------------------------------
 
 Row = Callable[[int, WeakOrder], int]
@@ -206,16 +223,16 @@ def _closure_kernel(arf: Arf, profile: EvaluabilityProfile) -> _Kernel:
     return _Kernel(profile, None, decide)
 
 
-def _prefixes(rows, unanimity: int, code: int, indices: list[int], level: int = 0):
+def _prefixes(rows, unanimity: int, code: int, dominance: int, indices: list[int], level: int = 0):
     """Every index prefix over ``rows`` in product order, with the carried
-    AND of the unanimity rows and sum of the code rows; ``indices`` is
-    updated in place."""
+    AND of the unanimity rows, sum of the code rows and OR of the dominance
+    rows; ``indices`` is updated in place."""
     if level == len(rows):
-        yield unanimity, code
+        yield unanimity, code, dominance
         return
-    for i, (u, c) in enumerate(rows[level]):
+    for i, (u, c, d) in enumerate(rows[level]):
         indices[level] = i
-        yield from _prefixes(rows, unanimity & u, code + c, indices, level + 1)
+        yield from _prefixes(rows, unanimity & u, code + c, dominance | d, indices, level + 1)
 
 
 def _first_tv_triple(above: list[int]) -> tuple[int, int, int] | None:
@@ -262,11 +279,10 @@ def _vote(above: list[int], a: int, b: int) -> int:
 def _verifier_rows(profile, pairs, fields, kernel: _Kernel):
     """Per individual and weak order: the unanimity row, the code row (iia
     signature digits in ``fields``, then the rule's row above them) and the
-    dominance row (the individual's strict preferences)."""
+    dominance row (the individual's strict preferences), as one triple."""
     n = profile.n_alts
     width = fields[-1][0] + fields[-1][1].bit_length() if fields else 0
-    carried = []
-    dominance = []
+    rows = []
     for v, mask in enumerate(profile.evaluable):
         digits = [
             (a, b, 3 ** evaluators.index(v), offset)
@@ -274,19 +290,16 @@ def _verifier_rows(profile, pairs, fields, kernel: _Kernel):
             if v in evaluators
         ]
         per_order = []
-        dominance_row = []
         for order in weak_orders_on(mask):
             above = strictly_above(order, n)
-            dominance_row.append(pack(above, n))
             code = 0
             for a, b, weight, offset in digits:
                 code += _vote(above, a, b) * weight << offset
             if kernel.row is not None:
                 code += kernel.row(v, order) << width
-            per_order.append((unanimity_row(order, mask, n), code))
-        carried.append(per_order)
-        dominance.append(dominance_row)
-    return carried, dominance, width
+            per_order.append((unanimity_row(order, mask, n), code, pack(above, n)))
+        rows.append(per_order)
+    return rows, width
 
 
 def _nc_counterexample(pairs, keys, seen_above, seen_below, seen_tie) -> Counterexample | None:
@@ -300,6 +313,27 @@ def _nc_counterexample(pairs, keys, seen_above, seen_below, seen_tie) -> Counter
         if len(seen) == 1:
             return Counterexample("nc", pair=(a, b), outcome=seen[0])
     return None
+
+
+def _first_iia_counterexample(rows, common: int, width: int, decide: Decide, tables, at):
+    """The plain iia check, run from the first ranking profile to its first
+    violation: per common pair, the first outcome and profile seen for each
+    signature, until a profile with that signature gets another outcome."""
+    indices = [0] * len(rows)
+    first: list[dict] = [{} for _ in tables]
+    for unanimity, code, _ in _prefixes(rows, common, 0, 0, indices):
+        packed_above, packed_below = decide(unanimity, code >> width, indices)
+        for (offset, field, ab, pair), seen_by_signature in zip(tables, first):
+            signature = code >> offset & field
+            out = (packed_above >> ab & 1) - (packed_below >> ab & 1)
+            seen = seen_by_signature.get(signature)
+            if seen is None:
+                seen_by_signature[signature] = (out, tuple(indices))
+            elif seen[0] != out:
+                return Counterexample(
+                    "iia", rankings=at(seen[1]), rankings_alt=at(indices), pair=pair
+                )
+    raise AssertionError("no ranking profile carries the iia conflict")
 
 
 def _sweep(
@@ -319,7 +353,7 @@ def _sweep(
             size = (3 ** len(evaluators) - 1).bit_length()
             fields.append((offset, (1 << size) - 1))
             offset += size
-    rows, dominance, width = _verifier_rows(profile, pairs, fields, kernel)
+    rows, width = _verifier_rows(profile, pairs, fields, kernel)
 
     def at(indices) -> RankingProfile:
         return RankingProfile(tuple(map(tuple.__getitem__, orders, indices)))
@@ -330,34 +364,56 @@ def _sweep(
     want_iia = "iia" in axioms
     want_nc = "nc" in axioms
     tv_ce = pc_ce = wpc_ce = iia_ce = None
-    # per pair: signature field, outcome bit, first (outcome, indices) per signature
-    iia_tables = [
-        (offset, field, ab, {}, (a, b))
-        for (offset, field), (a, b, _), (ab, _) in zip(fields, pairs, keys)
-    ]
+    indices = [0] * profile.n_inds
+    last = profile.n_inds - 1
+    last_rows = rows[last]
+    # iia per pair class (see "The sweep"): signature field, outcome bits and
+    # the first outcome seen per signature
+    fixed, only, shared = [], [], []
+    fixed_bits = only_bits = 0
+    for (offset, field), (_, _, evaluators), (ab, ba) in zip(fields, pairs, keys):
+        entry = (offset, field, ab, ba, {})
+        if last not in evaluators:
+            fixed.append(entry)
+            fixed_bits |= 1 << ab | 1 << ba
+        elif len(evaluators) == 1:
+            only.append(entry)
+            only_bits |= 1 << ab | 1 << ba
+        else:
+            shared.append(entry)
+    iia_conflict = False
+    first_outputs: list[int] = []  # the first prefix's output per order of L
+    reference: list[int] | None = None
     seen_above = seen_below = seen_tie = 0
     alive = list(range(profile.n_inds)) if "nd" in axioms else []
 
     decide = kernel.decide
-    transitive: set[int] = set()  # packed outputs tv already passed
+    outputs: set[int] = set()  # distinct packed outputs, for tv and nc
+    track = want_tv or want_nc
     full = (1 << n) - 1
-    indices = [0] * profile.n_inds
-    last = profile.n_inds - 1
-    for unanimity_prefix, code_prefix in _prefixes(rows[:last], common, 0, indices):
-        for i, (u, c) in enumerate(rows[last]):
+    for unanimity_prefix, code_prefix, dominance_prefix in _prefixes(
+        rows[:last], common, 0, 0, indices
+    ):
+        low, high = -1, 0  # AND and OR of the outputs over L's orders
+        for i, (u, c, d) in enumerate(last_rows):
             indices[last] = i
             unanimity = unanimity_prefix & u
             code = code_prefix + c
             packed_above, packed_below = decide(unanimity, code >> width, indices)
-            if want_tv and packed_above not in transitive:
-                triple = _first_tv_triple([packed_above >> x * n & full for x in range(n)])
-                if triple is None:
-                    if len(transitive) >= _MEMO_LIMIT:
-                        transitive.clear()
-                    transitive.add(packed_above)
-                else:
-                    tv_ce = Counterexample("tv", rankings=at(indices), triple=triple)
-                    want_tv = False
+            if track and packed_above not in outputs:
+                if len(outputs) >= _MEMO_LIMIT:
+                    outputs.clear()
+                outputs.add(packed_above)
+                if want_tv:
+                    triple = _first_tv_triple([packed_above >> x * n & full for x in range(n)])
+                    if triple is not None:
+                        tv_ce = Counterexample("tv", rankings=at(indices), triple=triple)
+                        want_tv = False
+                        track = want_nc
+                if want_nc:
+                    seen_above |= packed_above
+                    seen_below |= packed_below
+                    seen_tie |= ~(packed_above | packed_below)
             if want_pc and unanimity & ~packed_above:
                 pair = _first_pair(pairs, keys, unanimity & ~packed_above)
                 pc_ce = Counterexample("pc", rankings=at(indices), pair=pair)
@@ -367,25 +423,45 @@ def _sweep(
                 wpc_ce = Counterexample("wpc", rankings=at(indices), pair=pair)
                 want_wpc = False
             if want_iia:
-                for offset, field, ab, first, pair in iia_tables:
-                    signature = code >> offset & field
-                    out = (packed_above >> ab & 1) - (packed_below >> ab & 1)
-                    seen = first.get(signature)
-                    if seen is None:
-                        first[signature] = (out, tuple(indices))
-                    elif seen[0] != out:
-                        iia_ce = Counterexample(
-                            "iia", rankings=at(seen[1]), rankings_alt=at(indices), pair=pair
-                        )
-                        want_iia = False
+                low &= packed_above
+                high |= packed_above
+                if reference is None:
+                    first_outputs.append(packed_above)
+                elif (packed_above ^ reference[i]) & only_bits:
+                    iia_conflict = True
+                for offset, field, ab, ba, first in shared:
+                    out = (packed_above >> ab & 1) - (packed_above >> ba & 1)
+                    if first.setdefault(code >> offset & field, out) != out:
+                        iia_conflict = True
                         break
-            if want_nc:
-                seen_above |= packed_above
-                seen_below |= packed_below
-                seen_tie |= ~(packed_above | packed_below)
-            for v in alive:
-                if dominance[v][indices[v]] & ~packed_above:
-                    alive = [w for w in alive if w != v]
+                want_iia = not iia_conflict
+            if alive and (dominance_prefix | d) & ~packed_above:
+                for v in alive:
+                    if rows[v][indices[v]][2] & ~packed_above:
+                        alive = [w for w in alive if w != v]
+        if want_iia:
+            if (low ^ high) & fixed_bits:
+                iia_conflict = True
+            else:
+                for offset, field, ab, ba, first in fixed:
+                    out = (low >> ab & 1) - (low >> ba & 1)
+                    if first.setdefault(code_prefix >> offset & field, out) != out:
+                        iia_conflict = True
+                        break
+            if reference is None and not iia_conflict:
+                for offset, field, ab, ba, first in only:
+                    for (_, c, _), output in zip(last_rows, first_outputs):
+                        out = (output >> ab & 1) - (output >> ba & 1)
+                        if first.setdefault(c >> offset & field, out) != out:
+                            iia_conflict = True
+                reference = first_outputs
+            want_iia = not iia_conflict
+    if iia_conflict:
+        tables = [
+            (offset, field, ab, (a, b))
+            for (offset, field), (a, b, _), (ab, _) in zip(fields, pairs, keys)
+        ]
+        iia_ce = _first_iia_counterexample(rows, common, width, decide, tables, at)
 
     verdicts = []
     quasi: tuple[int, ...] | None = None

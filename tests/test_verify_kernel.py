@@ -9,11 +9,16 @@ ranking profile the rule closures, ``unanimity_relation`` and
 multiset profile and a seeded sample of larger profiles run by default; the
 wider samples are marked slow. The sweep's memos are checked for exactness
 at a one-entry bound and for doing each piece of work once per distinct value.
+Rules that break iia on one chosen pair and profile check that the sweep's
+per-class iia shortcuts report the plain check's first counterexample, and a
+rule that drops one individual on the last profile checks the nd shortcut.
 """
 
+import inspect
 import itertools
 import json
 import random
+import sys
 from importlib import resources
 
 import pytest
@@ -36,7 +41,14 @@ from rankagg.properties import (
     ranking_space_size,
     verify_rule,
 )
-from rankagg.relations import WeakOrder, extension_mask_relation, weak_orders_on
+from rankagg.relations import (
+    RankingProfile,
+    StrictDigraph,
+    WeakOrder,
+    extension_mask_relation,
+    strict_part,
+    weak_orders_on,
+)
 
 from helpers import (
     profile_from_masks,
@@ -171,6 +183,156 @@ def test_tv_is_checked_once_per_distinct_output(monkeypatch):
     report = verify_rule(make_rule("fstar", profile), profile)
     assert report.verdict("tv").passed
     assert len(calls) == len(set(calls)) == len(outputs) == 288
+
+
+def _line_runs(function, marker, call, *args):
+    """``call(*args)`` and how often the line of ``function`` that contains
+    ``marker`` ran during it."""
+    lines, start = inspect.getsourcelines(function)
+    (target,) = [start + k for k, line in enumerate(lines) if marker in line]
+    runs = 0
+
+    def local(frame, event, arg):
+        nonlocal runs
+        if event == "line" and frame.f_lineno == target:
+            runs += 1
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is function.__code__ else None)
+    try:
+        result = call(*args)
+    finally:
+        sys.settrace(None)
+    return result, runs
+
+
+def test_tv_and_nc_run_once_per_distinct_output_when_asked_alone(monkeypatch):
+    profile = _golden_profile()
+    outputs = {make_rule("fstar", profile)(r) for r in enumerate_rankings(profile)}
+    first_tv_triple = properties._first_tv_triple
+    calls = []
+
+    def counting(above):
+        calls.append(tuple(above))
+        return first_tv_triple(above)
+
+    monkeypatch.setattr(properties, "_first_tv_triple", counting)
+    for axiom in ("tv", "nc"):
+        calls.clear()
+        rule = make_rule("fstar", profile)
+        report, nc_runs = _line_runs(
+            properties._sweep, "seen_above |= packed_above", verify_rule, rule, profile, (axiom,)
+        )
+        assert report.verdict(axiom).passed
+        assert len(calls) == len(set(calls)) == (len(outputs) if axiom == "tv" else 0)
+        assert nc_runs == (len(outputs) if axiom == "nc" else 0)
+    assert len(outputs) == 288
+
+
+# pp-6 of the verify fixture: the last individual (v4) evaluates (3, 5) and
+# (4, 5) alone and shares (3, 4) with v3; v1 and v2 alone evaluate the pairs
+# inside {0, 1, 2} and (2, 3). Enumeration position k has v4's order at k % 13
+# and prefix k // 13, and v1's order at k // 117.
+_PP6 = (0b000111, 0b001100, 0b011000, 0b111000)
+
+
+def _flipped(profile, flips, base="fstarstar"):
+    """The ``base`` rule, except that each pair in ``flips`` gets another
+    outcome on the ranking profiles at the given enumeration positions: a
+    strict outcome is reversed and a tie becomes a strict one."""
+    rule = make_rule(base, profile)
+    position = {rankings: k for k, rankings in enumerate(enumerate_rankings(profile))}
+
+    def flipped(rankings):
+        arcs = set(rule(rankings).arcs)
+        k = position[rankings]
+        for (a, b), positions in flips.items():
+            if k in positions:
+                if arcs & {(a, b), (b, a)}:
+                    arcs ^= {(a, b), (b, a)}
+                else:
+                    arcs.add((a, b))
+        return StrictDigraph(profile.full_mask, frozenset(arcs))
+
+    return flipped
+
+
+@pytest.mark.parametrize(
+    "base, flips, pair",
+    [
+        # a pair v4 does not evaluate, on a whole late prefix: constant within
+        # the prefix, against the outcome of an earlier prefix with v1's order
+        ("fstarstar", {(0, 1): range(1300, 1313)}, (0, 1)),
+        # the same kind of pair on one profile, where majority ties it on
+        # the rest of the prefix: only the variation within the prefix shows
+        # it, since the AND over the prefix still reads a tie
+        ("majority", {(1, 2): {13 * 3 + 5}}, (1, 2)),
+        # a pair only v4 evaluates, first broken in a later prefix
+        ("fstarstar", {(4, 5): {13 * 50 + 7}}, (4, 5)),
+        # the pair v4 shares with v3
+        ("fstarstar", {(3, 4): {13 * 40 + 2}}, (3, 4)),
+        # a pair only v4 evaluates, broken for v4's last order in every
+        # prefix: only the first prefix's check shows it, against an earlier
+        # order of v4 with the same vote
+        ("fstarstar", {(3, 5): range(12, 1521, 13)}, (3, 5)),
+        # the shared pair is caught inside the prefix, before the end-of-prefix
+        # check catches the earlier break of a pair v4 does not evaluate
+        ("fstarstar", {(2, 3): {13 * 60 + 5}, (3, 4): {13 * 60 + 8}}, (2, 3)),
+    ],
+)
+@pytest.mark.parametrize("memo_limit", [None, 1])
+def test_iia_rerun_reports_the_first_counterexample(monkeypatch, base, flips, pair, memo_limit):
+    profile = profile_from_masks(6, _PP6)
+    rule = _flipped(profile, flips, base)
+    expected = reference_verify(rule, profile)
+    if memo_limit is not None:
+        monkeypatch.setattr(properties, "_MEMO_LIMIT", memo_limit)
+    report = verify_rule(rule, profile)
+    assert report.verdict("iia").counterexample.pair == pair
+    assert report == expected
+
+
+def test_unbroken_rules_pass_iia_on_pp6():
+    profile = profile_from_masks(6, _PP6)
+    for base in ("fstarstar", "majority"):
+        assert verify_rule(_flipped(profile, {}, base), profile).verdict("iia").passed
+
+
+def _last_profile(profile):
+    return RankingProfile(tuple(weak_orders_on(m)[-1] for m in profile.evaluable))
+
+
+def test_nd_mask_sees_a_preference_dropped_on_the_last_profile():
+    # no two individuals share a pair, so the union of all strict
+    # preferences is asymmetric; on the last profile (every order linear)
+    # v1, who is outside the innermost loop, is left out
+    profile = profile_from_masks(4, (0b0111, 0b1100, 0b1001))
+    last = _last_profile(profile)
+
+    def union(rankings):
+        voters = (1, 2) if rankings == last else (0, 1, 2)
+        arcs = frozenset().union(*(strict_part(rankings.orders[v]).arcs for v in voters))
+        return StrictDigraph(profile.full_mask, arcs)
+
+    report = verify_rule(union, profile)
+    assert report.quasi_dictators == (1, 2)
+    assert report == reference_verify(union, profile)
+
+
+def test_nd_mask_sees_a_dictator_give_way_on_the_last_profile():
+    profile = profile_from_masks(3, (0b111, 0b011, 0b110))
+    last = _last_profile(profile)
+    chief = make_rule("dictatorship", profile)
+
+    def rule(rankings):
+        if rankings == last:
+            return StrictDigraph(profile.full_mask, frozenset())
+        return chief(rankings)
+
+    report = verify_rule(rule, profile)
+    assert report.verdict("nd").passed and 0 not in report.quasi_dictators
+    assert report == reference_verify(rule, profile)
+    assert verify_rule(chief, profile).verdict("nd").counterexample.individual == 0
 
 
 def test_budget_refusal_enumerates_no_weak_order():
