@@ -174,9 +174,9 @@ def _outcome(arcs: frozenset[tuple[int, int]], a: int, b: int) -> int:
 # them:
 # * a pair L does not evaluate has one signature per prefix, so the AND and
 #   OR of the outputs over the innermost loop decide it once per prefix;
-# * a pair only L evaluates has L's vote as its signature, so the first
-#   prefix's output for each of L's orders is checked once, and every later
-#   profile is one XOR against it;
+# * a pair only L evaluates has L's vote as its signature, so it is checked
+#   per profile in the first prefix only, and every later profile is one XOR
+#   against that prefix's output for the same order of L;
 # * a pair L shares with an earlier individual is checked per profile.
 # Any conflict is real, and then the exact per-profile loop reruns from the
 # first profile to its first violation, which keeps the reported profiles
@@ -369,7 +369,7 @@ def _sweep(
     last_rows = rows[last]
     # iia per pair class (see "The sweep"): signature field, outcome bits and
     # the first outcome seen per signature
-    fixed, only, shared = [], [], []
+    fixed, shared, only = [], [], []
     fixed_bits = only_bits = 0
     for (offset, field), (_, _, evaluators), (ab, ba) in zip(fields, pairs, keys):
         entry = (offset, field, ab, ba, {})
@@ -381,6 +381,7 @@ def _sweep(
             only_bits |= 1 << ab | 1 << ba
         else:
             shared.append(entry)
+    checked = shared + only
     iia_conflict = False
     first_outputs: list[int] = []  # the first prefix's output per order of L
     reference: list[int] | None = None
@@ -429,7 +430,7 @@ def _sweep(
                     first_outputs.append(packed_above)
                 elif (packed_above ^ reference[i]) & only_bits:
                     iia_conflict = True
-                for offset, field, ab, ba, first in shared:
+                for offset, field, ab, ba, first in checked:
                     out = (packed_above >> ab & 1) - (packed_above >> ba & 1)
                     if first.setdefault(code >> offset & field, out) != out:
                         iia_conflict = True
@@ -448,14 +449,9 @@ def _sweep(
                     if first.setdefault(code_prefix >> offset & field, out) != out:
                         iia_conflict = True
                         break
-            if reference is None and not iia_conflict:
-                for offset, field, ab, ba, first in only:
-                    for (_, c, _), output in zip(last_rows, first_outputs):
-                        out = (output >> ab & 1) - (output >> ba & 1)
-                        if first.setdefault(c >> offset & field, out) != out:
-                            iia_conflict = True
-                reference = first_outputs
             want_iia = not iia_conflict
+        reference = first_outputs
+        checked = shared
     if iia_conflict:
         tables = [
             (offset, field, ab, (a, b))
