@@ -42,11 +42,12 @@ from .profiles import (
     validate_rankings,
 )
 from .relations import (
+    CyclicRelationError,
     RankingProfile,
     StrictDigraph,
     WeakOrder,
     bits,
-    is_acyclic,
+    is_acyclic,  # unused here; bench/tracing.py BINDINGS rebinds it by name
     linear_extension,
     packed_digraph,
 )
@@ -133,15 +134,16 @@ def aggregate_unanimity(
 ) -> AggregationResult:
     """Extend the unanimity relation to a linear order.
 
-    When the unanimity relation is cyclic (possible only if the cycle-cover
-    check fails), returns the all-indifferent order flagged degenerate.
+    When ``linear_extension`` raises CyclicRelationError (the unanimity
+    relation is cyclic, possible only if the cycle-cover check fails),
+    returns the all-indifferent order flagged degenerate.
     """
     tb = _check_tiebreak(profile, tiebreak)
     constraint = unanimity_relation(profile, rankings)
-    acyclic, _ = is_acyclic(constraint)
-    if not acyclic:
+    try:
+        return AggregationResult(constraint, linear_extension(constraint, tb), False)
+    except CyclicRelationError:
         return AggregationResult(constraint, _all_indifferent(profile), True)
-    return AggregationResult(constraint, linear_extension(constraint, tb), False)
 
 
 def maximal_cycle_family(
@@ -270,13 +272,14 @@ def aggregate_delegation(
 
     Requires the cycle-cover check to hold (the family construction raises
     otherwise). The constraint is acyclic under cycle cover; the degenerate
-    fallback is kept for defensive completeness only. ``delegates``, the
+    branch, taken when ``linear_extension`` raises CyclicRelationError, is
+    kept for defensive completeness only. ``delegates``, the
     ``pair_delegates`` map of ``family``, saves recomputing it per call.
     """
     tb = _check_tiebreak(profile, tiebreak)
     fam = family if family is not None else maximal_cycle_family(profile)
     constraint = delegation_relation(profile, rankings, fam, tb, delegates)
-    acyclic, _ = is_acyclic(constraint)
-    if not acyclic:  # unreachable under cycle cover
+    try:
+        return AggregationResult(constraint, linear_extension(constraint, tb), False)
+    except CyclicRelationError:  # unreachable under cycle cover
         return AggregationResult(constraint, _all_indifferent(profile), True)
-    return AggregationResult(constraint, linear_extension(constraint, tb), False)

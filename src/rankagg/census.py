@@ -130,21 +130,10 @@ class _VerdictCache:
         return found
 
 
-def census_brute(
-    n_alts: int,
-    n_inds: int,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
-) -> CensusReport:
-    """Classify every labeled assignment of evaluable sets to individuals.
-
-    ``threads`` must be at least 1 and changes nothing: the census is
-    sequential.
-    """
+def census_brute(n_alts: int, n_inds: int, budget: int = DEFAULT_BUDGET) -> CensusReport:
+    """Classify every labeled assignment of evaluable sets to individuals."""
     if n_inds < 3:
         raise ValueError("need at least 3 individuals")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     masks = evaluable_masks(n_alts)
     total = len(masks) ** n_inds
     if total > budget:

@@ -313,12 +313,20 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         try:
             result = aggregate_delegation(profile, rankings, tiebreak)
         except ConditionViolationError as exc:
-            sys.stderr.write(f"precondition failed: {exc}\n")
-            if exc.cycle is not None:
-                sys.stderr.write(dumps({"witness_cycle": profile.alt_names(exc.cycle)}))
-            return 3
+            return _precondition_failed(exc, profile)
     sys.stdout.write(dumps(aggregation_json(profile, result)))
     return 0
+
+
+def _precondition_failed(
+    exc: ConditionViolationError, profile: EvaluabilityProfile | None = None
+) -> int:
+    """Report a failed precondition on stderr, with the witness cycle by
+    alternative name when the profile is known, and return exit code 3."""
+    sys.stderr.write(f"precondition failed: {exc}\n")
+    if exc.cycle is not None and profile is not None:
+        sys.stderr.write(dumps({"witness_cycle": profile.alt_names(exc.cycle)}))
+    return 3
 
 
 def _check_threads(args: argparse.Namespace) -> None:
@@ -334,8 +342,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if axiom not in AXIOM_IDS:
             raise DocumentError(f"unknown axiom {axiom!r}")
     tiebreak = _parse_tiebreak(profile, args.tiebreak)
-    rule = make_rule(args.rule, profile, tiebreak)
-    report = verify_rule(rule, profile, axioms, budget=args.budget, threads=args.threads)
+    try:
+        rule = make_rule(args.rule, profile, tiebreak)
+    except ConditionViolationError as exc:
+        return _precondition_failed(exc, profile)
+    report = verify_rule(rule, profile, axioms, budget=args.budget)
     sys.stdout.write(dumps(report_json(profile, args.rule, report)))
     return 0
 
@@ -344,7 +355,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     _check_threads(args)
     budget = {} if args.budget is None else {"budget": args.budget}
     if args.method == "brute":
-        report = census_brute(args.alts, args.inds, threads=args.threads, **budget)
+        report = census_brute(args.alts, args.inds, **budget)
     else:
         report = census_symmetric(args.alts, args.inds, **budget)
     sys.stdout.write(dumps(census_json(report)))
@@ -507,10 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConditionViolationError as exc:
-        sys.stderr.write(f"precondition failed: {exc}\n")
-        if exc.cycle is not None:
-            sys.stderr.write(dumps({"witness_cycle": list(exc.cycle)}))
-        return 3
+        return _precondition_failed(exc)
     except (BudgetExceededError, CensusBudgetError) as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return 4

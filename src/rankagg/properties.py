@@ -481,21 +481,17 @@ def verify_rule(
     profile: EvaluabilityProfile,
     axioms: Sequence[str] = AXIOM_IDS,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> PropertyReport:
     """Check the requested axioms over the full ranking space in one pass.
 
     A rule from ``make_rule`` for this profile runs as its kernel, whose rows
     are built over every weak order only once the space is within
     ``budget``, and its closure is never called; any other callable is
-    called once per ranking profile. ``threads`` must be at least 1 and
-    changes nothing: the sweep is sequential.
+    called once per ranking profile.
     """
     for axiom in axioms:
         if axiom not in AXIOM_IDS:
             raise ValueError(f"unknown axiom {axiom!r}")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     size = ranking_space_size(profile)
     if size > budget:
         raise BudgetExceededError(size, budget)

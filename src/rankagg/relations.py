@@ -9,10 +9,12 @@ structural rather than checked.
 Relations are computed as bitmasks. A relation on n nodes packs into one
 int: node x's mask of the nodes above it sits at bits x*n .. x*n + n - 1, so
 bit b*n + a reads "a strictly above b" (see ``pack``). ``StrictDigraph``, an
-asymmetric arc set checked at construction, is the public form of a result;
-``packed_digraph`` builds it from the packed int. ``linear_extension`` and
-the verify kernel share one tiebreak-first extension,
-``extension_mask_relation``.
+asymmetric arc set checked at construction, is the public form of a result.
+Frozensets of arcs meet the packed ints at one boundary: ``packed_digraph``
+builds them and ``arcs_mask_relation`` reads them, so ``strict_part``,
+``is_acyclic`` and ``linear_extension`` all decide on packed masks.
+``linear_extension`` and the verify kernel share one tiebreak-first
+extension, ``extension_mask_relation``.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safely shareable between threads.
@@ -137,16 +139,8 @@ class RankingProfile:
 
 def strict_part(order: WeakOrder) -> StrictDigraph:
     """Arcs (a, b) for every a strictly better than b in ``order``."""
-    arcs = []
-    rest = order.ground
-    for tier in order.tiers:
-        rest ^= tier
-        if not rest:
-            break
-        for a in bits(tier):
-            for b in bits(rest):
-                arcs.append((a, b))
-    return StrictDigraph(order.ground, frozenset(arcs))
+    n = order.ground.bit_length()
+    return packed_digraph(mask_relation(order, n)[0], n, order.ground)
 
 
 # ---------------------------------------------------------------------------
@@ -245,34 +239,36 @@ def is_acyclic(digraph: StrictDigraph) -> tuple[bool, tuple[int, ...] | None]:
 
     The witness is a node sequence ``w`` with every ``(w[i], w[i+1])`` and the
     closing ``(w[-1], w[0])`` an arc of the digraph. Traversal is depth first
-    from the smallest node with ascending successors, so the witness is
-    deterministic.
+    over the packed "below" masks, from the smallest node with ascending
+    successors, so the witness is deterministic.
     """
-    succ: dict[int, list[int]] = {}
-    for a, b in sorted(digraph.arcs):
-        succ.setdefault(a, []).append(b)
-    state: dict[int, int] = {}  # 1 on stack, 2 done
-    for root in bits(digraph.ground):
-        if root in state:
-            continue
-        state[root] = 1
+    n = digraph.ground.bit_length()
+    full = (1 << n) - 1
+    below = arcs_mask_relation(digraph.arcs, n)[1]
+    done = 0
+    todo = digraph.ground
+    while todo:
+        root = (todo & -todo).bit_length() - 1
         path = [root]
-        iters = [iter(succ.get(root, ()))]
+        pending = [below >> root * n & full]  # per path node, successors left
+        on_path = 1 << root
         while path:
-            try:
-                nxt = next(iters[-1])
-            except StopIteration:
-                state[path.pop()] = 2
-                iters.pop()
-                continue
-            mark = state.get(nxt)
-            if mark == 1:
-                at = path.index(nxt)
-                return False, tuple(path[at:])
-            if mark is None:
-                state[nxt] = 1
+            rest = pending[-1] & ~done
+            if rest:
+                low = rest & -rest
+                pending[-1] = rest ^ low
+                nxt = low.bit_length() - 1
+                if low & on_path:
+                    return False, tuple(path[path.index(nxt):])
                 path.append(nxt)
-                iters.append(iter(succ.get(nxt, ())))
+                pending.append(below >> nxt * n & full)
+                on_path |= low
+            else:
+                node = 1 << path.pop()
+                pending.pop()
+                on_path ^= node
+                done |= node
+        todo &= ~done
     return True, None
 
 

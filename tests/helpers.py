@@ -3,13 +3,14 @@
 The oracles recompute expectations from first principles (explicit pair
 sets, permutation sweeps, recurrences, the axiom sweep on arc sets in
 ``reference_verify``, the builtin rules on frozensets of arcs in
-``reference_rule``) without touching the library's own shortcut
-representations, so the two sides of each comparison stay independent. The
-single-axiom ``check_*`` wrappers and ``quasi_dictators`` are conveniences
-over ``verify_rule`` that only the tests use, as are the evaluator and
-union-graph queries (``evaluators_of``, ``graph_edges``, ``is_cyclic_subset``
-and the like) and the weak-order and pair-set queries (``relation_pairs``,
-``restrict``, ``extends`` and the like).
+``reference_rule``, the cycle search on arc sets in ``reference_is_acyclic``)
+without touching the library's own shortcut representations, so the two
+sides of each comparison stay independent. The single-axiom ``check_*``
+wrappers and ``quasi_dictators`` are conveniences over ``verify_rule`` that
+only the tests use, as are the evaluator and union-graph queries
+(``evaluators_of``, ``graph_edges``, ``is_cyclic_subset`` and the like) and
+the weak-order and pair-set queries (``relation_pairs``, ``restrict``,
+``extends`` and the like).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from rankagg.relations import (
     StrictDigraph,
     WeakOrder,
     bits,
-    is_acyclic,
     weak_orders_on,
 )
 
@@ -499,6 +499,37 @@ def reference_delegation_arcs(
     return StrictDigraph(tiebreak.ground, frozenset(arcs))
 
 
+def reference_is_acyclic(digraph: StrictDigraph) -> tuple[bool, tuple[int, ...] | None]:
+    """Depth-first search on the arc set: the smallest node first, ascending
+    successors, and on a back arc the path from its head as the witness."""
+    succ: dict[int, list[int]] = {}
+    for a, b in sorted(digraph.arcs):
+        succ.setdefault(a, []).append(b)
+    state: dict[int, int] = {}  # 1 on stack, 2 done
+    for root in bits(digraph.ground):
+        if root in state:
+            continue
+        state[root] = 1
+        path = [root]
+        iters = [iter(succ.get(root, ()))]
+        while path:
+            try:
+                nxt = next(iters[-1])
+            except StopIteration:
+                state[path.pop()] = 2
+                iters.pop()
+                continue
+            mark = state.get(nxt)
+            if mark == 1:
+                at = path.index(nxt)
+                return False, tuple(path[at:])
+            if mark is None:
+                state[nxt] = 1
+                path.append(nxt)
+                iters.append(iter(succ.get(nxt, ())))
+    return True, None
+
+
 def reference_linear_extension(digraph: StrictDigraph, tiebreak: WeakOrder) -> WeakOrder:
     """Kahn's algorithm, always emitting the ready node first in ``tiebreak``."""
     if not tiebreak.is_linear or tiebreak.ground != digraph.ground:
@@ -522,7 +553,7 @@ def reference_linear_extension(digraph: StrictDigraph, tiebreak: WeakOrder) -> W
         if freed:
             ready = sorted(ready + freed, key=rank.__getitem__)
     if len(out) != len(indegree):
-        cyclic, witness = is_acyclic(digraph)
+        cyclic, witness = reference_is_acyclic(digraph)
         assert not cyclic and witness is not None
         raise CyclicRelationError(witness)
     return WeakOrder.from_ranking(out)

@@ -143,17 +143,6 @@ def test_support_weight_by_hand():
     assert support_weight(4, 6, 3) == 0
 
 
-def test_threaded_census_matches_sequential():
-    plain = census_brute(3, 4, threads=1)
-    threaded = census_brute(3, 4, threads=4)
-    assert plain == threaded
-
-
-def test_threads_below_one_rejected():
-    with pytest.raises(ValueError):
-        census_brute(3, 3, threads=0)
-
-
 def test_budget_guard():
     with pytest.raises(CensusBudgetError) as err:
         census_brute(3, 4, budget=100)

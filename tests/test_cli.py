@@ -181,6 +181,32 @@ def test_aggregate_delegation_on_impossible_profile_exits_3(capsys, peer_path, t
     assert "witness_cycle" in err
 
 
+def test_refusal_witness_names_alternatives(capsys, tmp_path):
+    # a 4-ring of pairs: no individual evaluates the ring, so cover fails
+    names = ["w", "x", "y", "z"]
+    doc = {
+        "schema_version": 1,
+        "alternatives": names,
+        "individuals": [
+            {"id": f"v{i}", "evaluates": [names[i], names[(i + 1) % 4]]} for i in range(4)
+        ],
+    }
+    ranks = {"rankings": {f"v{i}": [[names[i]], [names[(i + 1) % 4]]] for i in range(4)}}
+    p = tmp_path / "ring.json"
+    r = tmp_path / "r.json"
+    p.write_text(dumps(doc), encoding="utf-8")
+    r.write_text(dumps(ranks), encoding="utf-8")
+    for argv in (
+        ("aggregate", "--rule", "fstarstar", str(p), str(r)),
+        ("verify", "--rule", "fstarstar", str(p)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        message, _, witness = err.partition("\n")
+        assert message.startswith("precondition failed:")
+        assert json.loads(witness) == {"witness_cycle": names}, argv
+
+
 def test_aggregate_with_custom_tiebreak(capsys, example_paths):
     code, out, _ = run_cli(
         capsys, "aggregate", "--rule", "fstarstar",

@@ -2,7 +2,6 @@ import pytest
 
 from rankagg.profiles import build_profile
 from rankagg.properties import (
-    AXIOM_IDS,
     BudgetExceededError,
     enumerate_rankings,
     make_rule,
@@ -252,13 +251,6 @@ def test_unknown_axiom_rejected(pp_star):
 def test_unknown_rule_rejected(pp_star):
     with pytest.raises(ValueError):
         make_rule("borda", pp_star)
-
-
-def test_threaded_report_matches_sequential(example):
-    rule = make_rule("fstarstar", example)
-    sequential = verify_rule(rule, example, AXIOM_IDS, threads=1)
-    threaded = verify_rule(rule, example, AXIOM_IDS, threads=4)
-    assert sequential == threaded
 
 
 def test_impossible_profiles_break_every_pareto_claimant():

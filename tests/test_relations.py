@@ -28,6 +28,7 @@ from helpers import (
     pairs_complete,
     pairs_reflexive,
     pairs_transitive,
+    reference_is_acyclic,
     reference_linear_extension,
     relation_pairs,
     restrict,
@@ -147,6 +148,41 @@ def test_worked_example_constraint_is_acyclic():
     }
     ok, _ = is_acyclic(StrictDigraph(0b1111111, frozenset(arcs)))
     assert ok
+
+
+def _asymmetric_digraphs(ground):
+    """Every asymmetric digraph on ``ground``: each pair carries no arc or
+    one of its two arcs."""
+    options = [(None, (a, b), (b, a)) for a, b in itertools.combinations(bits(ground), 2)]
+    for choice in itertools.product(*options):
+        yield StrictDigraph(ground, frozenset(arc for arc in choice if arc))
+
+
+SMALL_GROUNDS = (0b111, 0b1111, 0b10110, 0b11111, 0b101101)
+
+
+def test_cycle_witness_matches_reference_on_every_small_digraph():
+    # full grounds of 3, 4 and 5 nodes and two sparse ones: 60,561 digraphs
+    seen = 0
+    for ground in SMALL_GROUNDS:
+        for digraph in _asymmetric_digraphs(ground):
+            seen += 1
+            assert is_acyclic(digraph) == reference_is_acyclic(digraph), digraph
+    assert seen == 27 + 729 + 27 + 3**10 + 729
+
+
+def test_extension_refuses_exactly_the_cyclic_small_digraphs():
+    # the grounds of at most 4 nodes: 1,512 digraphs
+    for ground in (0b111, 0b1111, 0b10110, 0b101101):
+        tiebreak = WeakOrder.from_ranking(bits(ground))
+        for digraph in _asymmetric_digraphs(ground):
+            acyclic, cycle = reference_is_acyclic(digraph)
+            try:
+                order = linear_extension(digraph, tiebreak)
+            except CyclicRelationError as err:
+                assert not acyclic and err.cycle == cycle, digraph
+            else:
+                assert acyclic and order == reference_linear_extension(digraph, tiebreak), digraph
 
 
 # -- linear extension --------------------------------------------------------

@@ -5,7 +5,9 @@ compiled by ``make_rule``, as a plain callable (the closure path of the same
 sweep), and by ``reference_verify`` run on ``reference_rule``, which checks
 the axioms on explicit arc sets of the rule's frozenset definition. On every
 ranking profile the rule closures, ``unanimity_relation`` and
-``delegation_relation`` must also equal those definitions. Every (3, 3)
+``delegation_relation`` must also equal those definitions, and the two
+aggregates must be degenerate exactly when ``reference_linear_extension``
+refuses their constraint and return its order otherwise. Every (3, 3)
 multiset profile and a seeded sample of larger profiles run by default; the
 wider samples are marked slow. The sweep's memos are checked for exactness
 at a one-entry bound and for doing each piece of work once per distinct value.
@@ -25,6 +27,8 @@ import pytest
 
 from rankagg import properties
 from rankagg.aggregators import (
+    aggregate_delegation,
+    aggregate_unanimity,
     default_tiebreak,
     delegation_relation,
     maximal_cycle_family,
@@ -42,6 +46,7 @@ from rankagg.properties import (
     verify_rule,
 )
 from rankagg.relations import (
+    CyclicRelationError,
     RankingProfile,
     StrictDigraph,
     WeakOrder,
@@ -54,6 +59,7 @@ from helpers import (
     profile_from_masks,
     random_profile,
     reference_delegation_arcs,
+    reference_linear_extension,
     reference_rule,
     reference_unanimity_arcs,
     reference_verify,
@@ -78,9 +84,21 @@ def _assert_paths_agree(profile):
             assert compiled == called == reference, (profile.evaluable, rule_id, tiebreak)
 
 
+def _assert_extends(result, constraint, tiebreak):
+    """``result`` is degenerate exactly when the reference extension of
+    ``constraint`` is refused, and carries the reference order otherwise."""
+    assert result.constraint == constraint
+    try:
+        order = reference_linear_extension(constraint, tiebreak)
+    except CyclicRelationError:
+        assert result.degenerate and result.order == WeakOrder((constraint.ground,))
+    else:
+        assert not result.degenerate and result.order == order
+
+
 def _assert_definitions_agree(profile):
-    """Relations and rule closures equal their frozenset definitions on
-    every ranking profile."""
+    """Relations, aggregates and rule closures equal their frozenset
+    definitions on every ranking profile."""
     family = maximal_cycle_family(profile) if check_cycle_cover(profile).holds else None
     delegates = pair_delegates(profile, family) if family is not None else None
     rule_ids = [r for r in RULES if family is not None or r != "fstarstar"]
@@ -89,12 +107,16 @@ def _assert_definitions_agree(profile):
         rules = [make_rule(r, profile, tiebreak) for r in rule_ids]
         references = [reference_rule(r, profile, tiebreak) for r in rule_ids]
         for rankings in enumerate_rankings(profile):
+            unanimity = reference_unanimity_arcs(profile, rankings)
             if tiebreak is None:
-                got = unanimity_relation(profile, rankings)
-                assert got == reference_unanimity_arcs(profile, rankings), rankings
+                assert unanimity_relation(profile, rankings) == unanimity, rankings
+            _assert_extends(aggregate_unanimity(profile, rankings, tiebreak), unanimity, tb)
             if family is not None:
+                delegation = reference_delegation_arcs(rankings, delegates, tb)
                 got = delegation_relation(profile, rankings, family, tiebreak)
-                assert got == reference_delegation_arcs(rankings, delegates, tb), rankings
+                assert got == delegation, rankings
+                result = aggregate_delegation(profile, rankings, tiebreak, family, delegates)
+                _assert_extends(result, delegation, tb)
             for rule_id, rule, reference in zip(rule_ids, rules, references):
                 assert rule(rankings) == reference(rankings), (rule_id, rankings)
 
@@ -357,12 +379,6 @@ def test_kernel_rejects_a_rule_compiled_for_another_profile():
     # instead of being swept with the first profile's rows
     with pytest.raises(ValueError):
         verify_rule(rule, second)
-
-
-def test_threads_below_one_rejected():
-    profile = profile_from_masks(3, (0b011, 0b110, 0b111))
-    with pytest.raises(ValueError):
-        verify_rule(make_rule("fstar", profile), profile, threads=0)
 
 
 @pytest.mark.slow
