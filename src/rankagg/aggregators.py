@@ -1,10 +1,11 @@
 """The two constructive aggregation rules.
 
 Each rule's constraint relation is defined once, as a packed row per
-(individual, weak order) in the layout of ``relations.pack``. The rules
-combine the rows of the submitted orders, and ``properties.verify_rule``
-combines the same rows over every weak order, so aggregation and the
-exhaustive checks run one definition.
+(individual, weak order) in the layout of ``relations.pack``. An aggregate
+combines the rows of the submitted orders into one packed constraint and
+extends it, building a ``StrictDigraph`` only for its result, and
+``properties.verify_rule`` combines the same rows over every weak order, so
+aggregation and the exhaustive checks run one definition.
 
 ``aggregate_unanimity`` extends the unanimity relation: pair (a, b) is
 constrained exactly when everyone who evaluates both strictly agrees. It is
@@ -42,14 +43,14 @@ from .profiles import (
     validate_rankings,
 )
 from .relations import (
-    CyclicRelationError,
     RankingProfile,
     StrictDigraph,
     WeakOrder,
     bits,
-    is_acyclic,  # unused here; bench/tracing.py BINDINGS rebinds it by name
+    is_acyclic,  # unused here, as is linear_extension; bench/tracing.py BINDINGS rebinds both
     linear_extension,
     packed_digraph,
+    packed_linear_extension,
 )
 
 
@@ -85,7 +86,7 @@ def default_tiebreak(profile: EvaluabilityProfile) -> WeakOrder:
     return WeakOrder.from_ranking(range(profile.n_alts))
 
 
-def _check_tiebreak(profile: EvaluabilityProfile, tiebreak: WeakOrder | None) -> WeakOrder:
+def check_tiebreak(profile: EvaluabilityProfile, tiebreak: WeakOrder | None) -> WeakOrder:
     if tiebreak is None:
         return default_tiebreak(profile)
     if not tiebreak.is_linear or tiebreak.ground != profile.full_mask:
@@ -112,19 +113,28 @@ def unanimity_row(order: WeakOrder, mask: int, n: int) -> int:
     return row
 
 
-def unanimity_relation(profile: EvaluabilityProfile, rankings: RankingProfile) -> StrictDigraph:
-    """Arc (a, b) iff some individual evaluates both and all such individuals
-    strictly prefer a to b."""
+def packed_unanimity(profile: EvaluabilityProfile, rankings: RankingProfile) -> int:
+    """The packed unanimity relation of ``rankings``, once they are checked
+    against the profile."""
     validate_rankings(profile, rankings)
     n = profile.n_alts
     packed = profile.common_pairs
     for order, mask in zip(rankings.orders, profile.evaluable):
         packed &= unanimity_row(order, mask, n)
-    return packed_digraph(packed, n, profile.full_mask)
+    return packed
 
 
-def _all_indifferent(profile: EvaluabilityProfile) -> WeakOrder:
-    return WeakOrder((profile.full_mask,))
+def unanimity_relation(profile: EvaluabilityProfile, rankings: RankingProfile) -> StrictDigraph:
+    """Arc (a, b) iff some individual evaluates both and all such individuals
+    strictly prefer a to b."""
+    return packed_digraph(packed_unanimity(profile, rankings), profile.n_alts, profile.full_mask)
+
+
+def _extend(profile: EvaluabilityProfile, packed: int, tiebreak: WeakOrder) -> AggregationResult:
+    """The aggregate of a packed constraint, degenerate when it is cyclic."""
+    constraint = packed_digraph(packed, profile.n_alts, profile.full_mask)
+    order = packed_linear_extension(packed, profile.n_alts, tiebreak)
+    return AggregationResult(constraint, order or WeakOrder((profile.full_mask,)), order is None)
 
 
 def aggregate_unanimity(
@@ -134,16 +144,11 @@ def aggregate_unanimity(
 ) -> AggregationResult:
     """Extend the unanimity relation to a linear order.
 
-    When ``linear_extension`` raises CyclicRelationError (the unanimity
-    relation is cyclic, possible only if the cycle-cover check fails),
-    returns the all-indifferent order flagged degenerate.
+    When the unanimity relation is cyclic (possible only if the cycle-cover
+    check fails), returns the all-indifferent order flagged degenerate.
     """
-    tb = _check_tiebreak(profile, tiebreak)
-    constraint = unanimity_relation(profile, rankings)
-    try:
-        return AggregationResult(constraint, linear_extension(constraint, tb), False)
-    except CyclicRelationError:
-        return AggregationResult(constraint, _all_indifferent(profile), True)
+    tb = check_tiebreak(profile, tiebreak)
+    return _extend(profile, packed_unanimity(profile, rankings), tb)
 
 
 def maximal_cycle_family(
@@ -242,23 +247,26 @@ def delegation_row(
     return row
 
 
+def _packed_delegation(
+    profile: EvaluabilityProfile, rankings: RankingProfile, fam: MaximalCycleFamily, tb: WeakOrder
+) -> int:
+    """The packed delegation relation of ``rankings``, once they are checked
+    against the profile: the sum of the disjoint rows."""
+    validate_rankings(profile, rankings)
+    own = delegated_pairs(profile, pair_delegates(profile, fam))
+    return sum(delegation_row(o, p, tb, profile.n_alts) for o, p in zip(rankings.orders, own))
+
+
 def delegation_relation(
     profile: EvaluabilityProfile,
     rankings: RankingProfile,
     family: MaximalCycleFamily,
     tiebreak: WeakOrder | None = None,
-    pair_assignment: dict[tuple[int, int], int] | None = None,
 ) -> StrictDigraph:
     """One arc per commonly evaluated pair, decided by the designated
     individual with ties resolved by the global tiebreak."""
-    validate_rankings(profile, rankings)
-    tb = _check_tiebreak(profile, tiebreak)
-    delegates = pair_assignment if pair_assignment is not None else pair_delegates(profile, family)
-    n = profile.n_alts
-    packed = 0
-    for order, own in zip(rankings.orders, delegated_pairs(profile, delegates)):
-        packed |= delegation_row(order, own, tb, n)
-    return packed_digraph(packed, n, tb.ground)
+    packed = _packed_delegation(profile, rankings, family, check_tiebreak(profile, tiebreak))
+    return packed_digraph(packed, profile.n_alts, profile.full_mask)
 
 
 def aggregate_delegation(
@@ -266,20 +274,13 @@ def aggregate_delegation(
     rankings: RankingProfile,
     tiebreak: WeakOrder | None = None,
     family: MaximalCycleFamily | None = None,
-    delegates: dict[tuple[int, int], int] | None = None,
 ) -> AggregationResult:
     """Extend the delegation relation to a linear order.
 
     Requires the cycle-cover check to hold (the family construction raises
     otherwise). The constraint is acyclic under cycle cover; the degenerate
-    branch, taken when ``linear_extension`` raises CyclicRelationError, is
-    kept for defensive completeness only. ``delegates``, the
-    ``pair_delegates`` map of ``family``, saves recomputing it per call.
+    branch is kept for defensive completeness only.
     """
-    tb = _check_tiebreak(profile, tiebreak)
+    tb = check_tiebreak(profile, tiebreak)
     fam = family if family is not None else maximal_cycle_family(profile)
-    constraint = delegation_relation(profile, rankings, fam, tb, delegates)
-    try:
-        return AggregationResult(constraint, linear_extension(constraint, tb), False)
-    except CyclicRelationError:  # unreachable under cycle cover
-        return AggregationResult(constraint, _all_indifferent(profile), True)
+    return _extend(profile, _packed_delegation(profile, rankings, fam, tb), tb)

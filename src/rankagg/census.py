@@ -134,13 +134,12 @@ def census_brute(n_alts: int, n_inds: int, budget: int = DEFAULT_BUDGET) -> Cens
     """Classify every labeled assignment of evaluable sets to individuals."""
     if n_inds < 3:
         raise ValueError("need at least 3 individuals")
-    masks = evaluable_masks(n_alts)
-    total = len(masks) ** n_inds
+    total = evaluable_set_count(n_alts) ** n_inds
     if total > budget:
         raise CensusBudgetError(total, budget)
     cache = _VerdictCache(n_alts, n_inds)
     counts: Counter[str] = Counter()
-    for combo in itertools.product(masks, repeat=n_inds):
+    for combo in itertools.product(evaluable_masks(n_alts), repeat=n_inds):
         counts[cache.verdict(combo)] += 1
     return CensusReport(
         n_alts, n_inds, total, counts["IP"], counts["DP"], counts["PP"], "brute"
@@ -217,17 +216,24 @@ def census_symmetric(
     sets by repeating its last member, and adds ``support_weight`` to its
     verdict. The budget is charged on the antichains: they are counted
     first, and more than ``budget`` of them raises CensusBudgetError before
-    any classification.
+    any classification, or before any table is built when the same-size
+    antichains alone are too many.
     """
     if n_inds < 3:
         raise ValueError("need at least 3 individuals")
+    sets = evaluable_set_count(n_alts)
+    refusal = f"maximal-support census has more than {budget} antichains"
+    # same-size sets are incomparable, so their antichains bound the count
+    sizes = (comb(n_alts, k) for k in range(2, n_alts + 1))
+    lower = itertools.accumulate(comb(s, j) for s in sizes for j in range(1, min(n_inds, s) + 1))
+    required = next((count for count in lower if count > budget), 0)
+    if required > budget:
+        raise CensusBudgetError(required, budget, refusal)
     masks = evaluable_masks(n_alts)
     below, above = _support_order(masks)
     required = _count_antichains(above, n_inds, budget)
     if required > budget:
-        raise CensusBudgetError(
-            required, budget, f"maximal-support census has more than {budget} antichains"
-        )
+        raise CensusBudgetError(required, budget, refusal)
     alts = _generic_names("a", n_alts)
     inds = _generic_names("v", n_inds)
     counts: Counter[str] = Counter()
@@ -249,7 +255,7 @@ def census_symmetric(
 
     walk((), (1 << len(masks)) - 1, 0)
     return CensusReport(
-        n_alts, n_inds, len(masks) ** n_inds, counts["IP"], counts["DP"], counts["PP"], "symmetric"
+        n_alts, n_inds, sets**n_inds, counts["IP"], counts["DP"], counts["PP"], "symmetric"
     )
 
 

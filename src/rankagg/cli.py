@@ -137,8 +137,10 @@ def parse_rankings_document(profile: EvaluabilityProfile, doc: Any) -> RankingPr
         if vid not in entries:
             raise DocumentError(f"no ranking for individual {vid!r}")
         tiers = entries[vid]
-        if not isinstance(tiers, list) or not all(isinstance(t, list) for t in tiers):
-            raise DocumentError(f"ranking of {vid!r} must be a list of tiers")
+        if not isinstance(tiers, list) or not all(
+            isinstance(t, list) and all(isinstance(a, str) for a in t) for t in tiers
+        ):
+            raise DocumentError(f"ranking of {vid!r} must be a list of tiers of strings")
         masks = []
         seen = 0
         for tier in tiers:

@@ -33,12 +33,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .aggregators import (
-    aggregate_delegation,
-    aggregate_unanimity,
-    default_tiebreak,
+    check_tiebreak,
     delegated_pairs,
     delegation_row,
     maximal_cycle_family,
+    packed_unanimity,
     pair_delegates,
     unanimity_row,
 )
@@ -46,7 +45,6 @@ from .profiles import (
     EvaluabilityProfile,
     ProfileError,
     complete_individuals,
-    validate_rankings,
 )
 from .relations import (
     MaskRelation,
@@ -60,10 +58,12 @@ from .relations import (
     ordered_bell,
     pack,
     packed_digraph,
-    strict_part,
     strictly_above,
     weak_orders_on,
 )
+# unused here; bench/tracing.py BINDINGS rebinds these names by getattr
+from .aggregators import aggregate_delegation, aggregate_unanimity  # noqa: F401
+from .relations import strict_part  # noqa: F401
 
 Arf = Callable[[RankingProfile], StrictDigraph]
 
@@ -593,36 +593,25 @@ def make_rule(
     ``decide`` step (see ``_Kernel``), carried as the closure's ``kernel``
     attribute. ``fstar`` decides from the unanimity relation
     (``aggregators.unanimity_row``) and ``fstarstar`` from its
-    ``aggregators.delegation_row``; their closures run the same rows through
-    ``aggregate_unanimity`` and ``aggregate_delegation``. The other closures
-    sum the rows of the submitted orders and decide. ``verify_rule`` maps the
-    rows over every weak order only after its budget check, so building a
-    rule enumerates nothing.
+    ``aggregators.delegation_row``, both by the tiebreak-first
+    ``extension_mask_relation`` that the aggregates use. Every closure is
+    ``_summed_rule``: it sums the rows of the submitted orders and decides.
+    ``verify_rule`` maps the rows over every weak order only after its
+    budget check, so building a rule enumerates nothing.
     """
     name, _, argument = rule_id.partition(":")
-    tb = tiebreak if tiebreak is not None else default_tiebreak(profile)
-    if not tb.is_linear or tb.ground != profile.full_mask:
-        raise ValueError("tiebreak must be a linear order on all alternatives")
+    tb = check_tiebreak(profile, tiebreak)
     n = profile.n_alts
     sequence = tuple(tier.bit_length() - 1 for tier in tb.tiers)
     indifferent: MaskRelation = (0, 0)
     row: Row | None = None
     if name == "fstar":
 
-        def rule(rankings: RankingProfile) -> StrictDigraph:
-            return strict_part(aggregate_unanimity(profile, rankings, tb).order)
-
         def decide(unanimity: int, value: int, indices: list[int]) -> MaskRelation:
             return extension_mask_relation(unanimity, n, sequence) or indifferent
 
     elif name == "fstarstar":
-        family = maximal_cycle_family(profile)
-        delegates = pair_delegates(profile, family)
-        own = delegated_pairs(profile, delegates)
-
-        def rule(rankings: RankingProfile) -> StrictDigraph:
-            result = aggregate_delegation(profile, rankings, tb, family, delegates)
-            return strict_part(result.order)
+        own = delegated_pairs(profile, pair_delegates(profile, maximal_cycle_family(profile)))
 
         def row(v: int, order: WeakOrder) -> int:
             return delegation_row(order, own[v], tb, n)
@@ -698,19 +687,18 @@ def make_rule(
 
     else:
         raise ValueError(f"unknown rule {rule_id!r}")
-    if name not in ("fstar", "fstarstar"):
-        rule = _summed_rule(profile, row, decide)
+    rule = _summed_rule(profile, row, decide)
     rule.kernel = _Kernel(profile, row, decide)  # type: ignore[attr-defined]
     return rule
 
 
 def _summed_rule(profile: EvaluabilityProfile, row: Row | None, decide: Decide) -> Arf:
-    """The closure of a rule that decides from the sum of its rows alone."""
-    n = profile.n_alts
+    """The closure of a rule: decide from the packed unanimity relation and
+    the sum of the rows of the submitted orders."""
 
     def rule(rankings: RankingProfile) -> StrictDigraph:
-        validate_rankings(profile, rankings)
+        unanimity = packed_unanimity(profile, rankings)
         value = 0 if row is None else sum(row(v, order) for v, order in enumerate(rankings.orders))
-        return packed_digraph(decide(0, value, [])[0], n, profile.full_mask)
+        return packed_digraph(decide(unanimity, value, [])[0], profile.n_alts, profile.full_mask)
 
     return rule

@@ -13,8 +13,8 @@ asymmetric arc set checked at construction, is the public form of a result.
 Frozensets of arcs meet the packed ints at one boundary: ``packed_digraph``
 builds them and ``arcs_mask_relation`` reads them, so ``strict_part``,
 ``is_acyclic`` and ``linear_extension`` all decide on packed masks.
-``linear_extension`` and the verify kernel share one tiebreak-first
-extension, ``extension_mask_relation``.
+``linear_extension``, the aggregates and the verify kernel share one
+tiebreak-first extension, ``extension_mask_relation``.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safely shareable between threads.
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb
 from typing import Iterable, Iterator
 
 
@@ -284,10 +285,19 @@ def linear_extension(digraph: StrictDigraph, tiebreak: WeakOrder) -> WeakOrder:
     if not tiebreak.is_linear or tiebreak.ground != digraph.ground:
         raise ValueError("tiebreak must be a linear order on the digraph ground")
     n = digraph.ground.bit_length()
-    sequence = tuple(tier.bit_length() - 1 for tier in tiebreak.tiers)
-    extension = extension_mask_relation(arcs_mask_relation(digraph.arcs, n)[0], n, sequence)
-    if extension is None:
+    order = packed_linear_extension(arcs_mask_relation(digraph.arcs, n)[0], n, tiebreak)
+    if order is None:
         raise CyclicRelationError(is_acyclic(digraph)[1])
+    return order
+
+
+def packed_linear_extension(constraint: int, n: int, tiebreak: WeakOrder) -> WeakOrder | None:
+    """``extension_mask_relation`` of a packed constraint on ``n`` nodes as a
+    linear order on ``tiebreak``'s ground set; None when it has a cycle."""
+    sequence = tuple(tier.bit_length() - 1 for tier in tiebreak.tiers)
+    extension = extension_mask_relation(constraint, n, sequence)
+    if extension is None:
+        return None
     above, full = extension[0], (1 << n) - 1
     ranking = [0] * len(sequence)
     for x in sequence:
@@ -334,12 +344,5 @@ def ordered_bell(n: int) -> int:
         return 1
     total = 0
     for k in range(1, n + 1):
-        total += _choose(n, k) * ordered_bell(n - k)
+        total += comb(n, k) * ordered_bell(n - k)
     return total
-
-
-def _choose(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out

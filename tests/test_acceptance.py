@@ -18,7 +18,6 @@ from rankagg.aggregators import (
     aggregate_delegation,
     delegation_relation,
     maximal_cycle_family,
-    pair_delegates,
     unanimity_relation,
 )
 from rankagg.census import (
@@ -263,22 +262,18 @@ def test_criterion_7_constraint_acyclicity():
             if not check_cycle_cover(profile).holds:
                 continue
             family = maximal_cycle_family(profile)
-            delegates = pair_delegates(profile, family)
             for rankings in enumerate_rankings(profile):
                 star = unanimity_relation(profile, rankings)
                 assert is_acyclic(star)[0]
-                dstar = delegation_relation(profile, rankings, family, pair_assignment=delegates)
+                dstar = delegation_relation(profile, rankings, family)
                 assert is_acyclic(dstar)[0]
                 checked += 1
         assert checked > 10_000
         profile = example_profile()
         family = maximal_cycle_family(profile)
-        delegates = pair_delegates(profile, family)
         for rankings in enumerate_rankings(profile):
             assert is_acyclic(unanimity_relation(profile, rankings))[0]
-            assert is_acyclic(
-                delegation_relation(profile, rankings, family, pair_assignment=delegates)
-            )[0]
+            assert is_acyclic(delegation_relation(profile, rankings, family))[0]
 
 
 # -- criterion 8: decider against the naive oracle ------------------------------

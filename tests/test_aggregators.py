@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from rankagg import relations
 from rankagg.aggregators import (
     aggregate_delegation,
     aggregate_unanimity,
@@ -114,6 +115,24 @@ def test_cycle_witness_degenerates_unanimity_rule():
     result = aggregate_unanimity(peer, witness.rankings)
     assert result.degenerate
     assert result.order.tiers == (0b111,)
+
+
+def test_degenerate_unanimity_aggregate_searches_no_cycle(monkeypatch):
+    # the cyclic constraint is refused by the packed extension alone
+    peer = build_profile(
+        ["1", "2", "3"], ["1", "2", "3"],
+        {"1": ["2", "3"], "2": ["1", "3"], "3": ["1", "2"]},
+    )
+    witness = cyclic_rankings(peer, classify(peer).cycle_cover.uncovered_cycle)
+
+    def refuse(digraph):
+        raise AssertionError("the aggregate searched for a cycle")
+
+    monkeypatch.setattr(relations, "is_acyclic", refuse)
+    result = aggregate_unanimity(peer, witness.rankings)
+    assert result.degenerate
+    assert result.order.tiers == (0b111,)
+    assert result.constraint == unanimity_relation(peer, witness.rankings)
 
 
 # -- maximal cycle family ----------------------------------------------------

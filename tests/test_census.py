@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from rankagg.census import (
     render_grid,
     support_weight,
 )
+from rankagg.cli import main
 from rankagg.conditions import DP, classify
 from rankagg.profiles import EvaluabilityProfile
 
@@ -157,6 +159,36 @@ def test_symmetric_budget_counts_antichains():
         census_symmetric(4, 6, budget=112)
     assert err.value.required == 113
     assert "antichains" in str(err.value)
+
+
+def test_symmetric_census_refuses_fourteen_alternatives_before_any_table(capsys):
+    start = time.perf_counter()
+    code = main(["census", "--method", "symmetric", "--alts", "14", "--inds", "3"])
+    elapsed = time.perf_counter() - start
+    assert code == 4
+    assert "antichains" in capsys.readouterr().err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("n_alts,n_inds", [(3, 3), (4, 3), (4, 6), (5, 3), (5, 4)])
+def test_symmetric_census_runs_at_a_budget_of_its_antichain_count(n_alts, n_inds):
+    # the closed-form refusal never fires where the counted walk fits
+    _, above = census._support_order(evaluable_masks(n_alts))
+    walked = census._count_antichains(above, n_inds, 10**9)
+    report = census_symmetric(n_alts, n_inds, budget=walked)
+    assert report.total == evaluable_set_count(n_alts) ** n_inds
+    with pytest.raises(CensusBudgetError):
+        census_symmetric(n_alts, n_inds, budget=walked - 1)
+
+
+def test_brute_census_refuses_before_listing_masks(monkeypatch):
+    def refuse(n_alts):
+        raise AssertionError("the brute census listed the evaluable sets")
+
+    monkeypatch.setattr(census, "evaluable_masks", refuse)
+    with pytest.raises(CensusBudgetError) as err:
+        census_brute(13, 3)
+    assert err.value.required == evaluable_set_count(13) ** 3
 
 
 def test_enlarging_preserves_dictatorship_verdict():

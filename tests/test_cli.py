@@ -171,6 +171,17 @@ def test_aggregate_unanimity_on_shared_order(capsys, tmp_path):
     assert json.loads(out)["order"] == [["c"], ["a"], ["b"]]
 
 
+@pytest.mark.parametrize("entry", [["a"], {"name": "a"}])
+def test_aggregate_rejects_non_string_tier_entry_with_exit_2(capsys, peer_path, tmp_path, entry):
+    ranks = {"rankings": {"1": [[entry], ["3"]], "2": [["1"], ["3"]], "3": [["1"], ["2"]]}}
+    r = tmp_path / "r.json"
+    r.write_text(dumps(ranks), encoding="utf-8")
+    code, out, err = run_cli(capsys, "aggregate", "--rule", "fstar", peer_path, str(r))
+    assert code == 2
+    assert out == ""
+    assert "must be a list of tiers of strings" in err
+
+
 def test_aggregate_delegation_on_impossible_profile_exits_3(capsys, peer_path, tmp_path):
     ranks = {"rankings": {"1": [["2"], ["3"]], "2": [["1"], ["3"]], "3": [["1"], ["2"]]}}
     r = tmp_path / "r.json"

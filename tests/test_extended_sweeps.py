@@ -4,18 +4,22 @@ million ranking profiles, so they are marked slow and excluded from the
 default run (`pytest -m slow` executes them).
 """
 
+import itertools
+
 import pytest
 
 from rankagg.aggregators import (
-    delegation_relation,
+    default_tiebreak,
+    delegated_pairs,
+    delegation_row,
     maximal_cycle_family,
     pair_delegates,
-    unanimity_relation,
+    unanimity_row,
 )
 from rankagg.conditions import DP, PP, check_cycle_cover, classify
 from rankagg.profiles import complete_individuals
-from rankagg.properties import enumerate_rankings, make_rule, verify_rule
-from rankagg.relations import is_acyclic
+from rankagg.properties import make_rule, verify_rule
+from rankagg.relations import extension_mask_relation, weak_orders_on
 
 from helpers import all_profiles_masks, profile_from_masks
 
@@ -42,14 +46,28 @@ def test_delegation_axioms_across_four_alternative_space():
 
 
 def test_constraint_acyclicity_across_four_alternative_space():
+    # the packed constraints the aggregates extend: the AND of the unanimity
+    # rows and the OR of the delegation rows of every ranking profile
     for masks in all_profiles_masks(4, 3):
         profile = profile_from_masks(4, masks)
         if not check_cycle_cover(profile).holds:
             continue
-        family = maximal_cycle_family(profile)
-        delegates = pair_delegates(profile, family)
-        for rankings in enumerate_rankings(profile):
-            assert is_acyclic(unanimity_relation(profile, rankings))[0]
-            assert is_acyclic(
-                delegation_relation(profile, rankings, family, pair_assignment=delegates)
-            )[0]
+        n = profile.n_alts
+        tiebreak = default_tiebreak(profile)
+        sequence = tuple(range(n))
+        own = delegated_pairs(profile, pair_delegates(profile, maximal_cycle_family(profile)))
+        rows = [
+            [
+                (unanimity_row(order, mask, n), delegation_row(order, own[v], tiebreak, n))
+                for order in weak_orders_on(mask)
+            ]
+            for v, mask in enumerate(profile.evaluable)
+        ]
+        for combo in itertools.product(*rows):
+            unanimity = profile.common_pairs
+            delegation = 0
+            for u, d in combo:
+                unanimity &= u
+                delegation |= d
+            assert extension_mask_relation(unanimity, n, sequence) is not None
+            assert extension_mask_relation(delegation, n, sequence) is not None

@@ -6,13 +6,20 @@ with a bare ``getattr`` on ``rankagg.<site>``, and also
 ``census._VerdictCache``. A rename in the library breaks ``--trace 1``, so
 every name must keep resolving. The file is parsed, not imported, so the
 check writes nothing under ``bench/``.
+
+A library module keeps a relative import that it never uses only so that
+the tracer can rebind it there. Each such import must therefore be a
+``BINDINGS`` entry; once the entry goes, the check names the import to
+delete.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+LIBRARY = ROOT / "src" / "rankagg"
 PATCHED = (
     ("properties", "enumerate_rankings"),
     ("cli", "make_rule"),
@@ -40,3 +47,28 @@ def test_every_traced_name_resolves():
         if not hasattr(importlib.import_module(f"rankagg.{site}"), attr)
     ]
     assert missing == []
+
+
+def _unused_relative_imports(path):
+    """Names a module imports relatively at module level and never uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for local, name in imported.items() if local not in used]
+
+
+def test_every_unused_import_is_a_traced_name():
+    traced = {(site, attr) for site, attr, _ in _bindings()}
+    stale = [
+        f"{path.stem}.{name}"
+        for path in sorted(LIBRARY.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unused_relative_imports(path)
+        if (path.stem, name) not in traced
+    ]
+    assert stale == []

@@ -115,7 +115,7 @@ def _assert_definitions_agree(profile):
                 delegation = reference_delegation_arcs(rankings, delegates, tb)
                 got = delegation_relation(profile, rankings, family, tiebreak)
                 assert got == delegation, rankings
-                result = aggregate_delegation(profile, rankings, tiebreak, family, delegates)
+                result = aggregate_delegation(profile, rankings, tiebreak, family)
                 _assert_extends(result, delegation, tb)
             for rule_id, rule, reference in zip(rule_ids, rules, references):
                 assert rule(rankings) == reference(rankings), (rule_id, rankings)
