@@ -3,7 +3,7 @@
 Each rule's constraint relation is defined once, as a packed row per
 (individual, weak order) in the layout of ``relations.pack``. An aggregate
 combines the rows of the submitted orders into one packed constraint and
-extends it, building a ``StrictDigraph`` only for its result, and
+extends it, returning that packed int as its ``StrictDigraph``, and
 ``properties.verify_rule`` combines the same rows over every weak order, so
 aggregation and the exhaustive checks run one definition.
 
@@ -49,7 +49,6 @@ from .relations import (
     bits,
     is_acyclic,  # unused here, as is linear_extension; bench/tracing.py BINDINGS rebinds both
     linear_extension,
-    packed_digraph,
     packed_linear_extension,
 )
 
@@ -127,12 +126,12 @@ def packed_unanimity(profile: EvaluabilityProfile, rankings: RankingProfile) -> 
 def unanimity_relation(profile: EvaluabilityProfile, rankings: RankingProfile) -> StrictDigraph:
     """Arc (a, b) iff some individual evaluates both and all such individuals
     strictly prefer a to b."""
-    return packed_digraph(packed_unanimity(profile, rankings), profile.n_alts, profile.full_mask)
+    return StrictDigraph(profile.full_mask, packed_unanimity(profile, rankings))
 
 
 def _extend(profile: EvaluabilityProfile, packed: int, tiebreak: WeakOrder) -> AggregationResult:
     """The aggregate of a packed constraint, degenerate when it is cyclic."""
-    constraint = packed_digraph(packed, profile.n_alts, profile.full_mask)
+    constraint = StrictDigraph(profile.full_mask, packed)
     order = packed_linear_extension(packed, profile.n_alts, tiebreak)
     return AggregationResult(constraint, order or WeakOrder((profile.full_mask,)), order is None)
 
@@ -266,14 +265,13 @@ def delegation_relation(
     """One arc per commonly evaluated pair, decided by the designated
     individual with ties resolved by the global tiebreak."""
     packed = _packed_delegation(profile, rankings, family, check_tiebreak(profile, tiebreak))
-    return packed_digraph(packed, profile.n_alts, profile.full_mask)
+    return StrictDigraph(profile.full_mask, packed)
 
 
 def aggregate_delegation(
     profile: EvaluabilityProfile,
     rankings: RankingProfile,
     tiebreak: WeakOrder | None = None,
-    family: MaximalCycleFamily | None = None,
 ) -> AggregationResult:
     """Extend the delegation relation to a linear order.
 
@@ -282,5 +280,5 @@ def aggregate_delegation(
     branch is kept for defensive completeness only.
     """
     tb = check_tiebreak(profile, tiebreak)
-    fam = family if family is not None else maximal_cycle_family(profile)
-    return _extend(profile, _packed_delegation(profile, rankings, fam, tb), tb)
+    packed = _packed_delegation(profile, rankings, maximal_cycle_family(profile), tb)
+    return _extend(profile, packed, tb)

@@ -32,7 +32,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, floor, log10
 
 from .conditions import classify
 from .profiles import EvaluabilityProfile
@@ -46,9 +46,9 @@ DEFAULT_SUPPORT_BUDGET = 200_000
 class CensusBudgetError(RuntimeError):
     """The census needs more work than the configured budget allows.
 
-    ``required`` is the labeled profile count of a brute census, or the
-    number of antichains a symmetric census counted before it passed the
-    budget.
+    ``required`` is the labeled profile count of a brute census, its digit
+    count when far over the budget, or the number of antichains a symmetric
+    census counted before it passed the budget.
     """
 
     def __init__(self, required: int, budget: int, needs: str | None = None):
@@ -70,6 +70,17 @@ def evaluable_masks(n_alts: int) -> tuple[int, ...]:
     if n_alts < 3:
         raise ValueError("need at least 3 alternatives")
     return tuple(m for m in range(1 << n_alts) if m.bit_count() >= 2)
+
+
+def total_digits(n_alts: int, n_inds: int) -> int:
+    """Decimal digits of the labeled profile count S ** n_inds from n_inds *
+    log10(S), building the count only within 1e-6 of an integer."""
+    sets = evaluable_set_count(n_alts)
+    estimate = n_inds * log10(sets)
+    near = round(estimate)
+    if abs(estimate - near) > 1e-6 + estimate * 1e-15:
+        return floor(estimate) + 1
+    return near + (sets**n_inds >= 10**near)
 
 
 def dp_proportion(n_alts: int, n_inds: int) -> Fraction:
@@ -134,6 +145,9 @@ def census_brute(n_alts: int, n_inds: int, budget: int = DEFAULT_BUDGET) -> Cens
     """Classify every labeled assignment of evaluable sets to individuals."""
     if n_inds < 3:
         raise ValueError("need at least 3 individuals")
+    digits = total_digits(n_alts, n_inds)
+    if digits > len(str(budget)) + 9:  # over a billion times the budget: the count is not built
+        raise CensusBudgetError(digits, budget, f"profile space has a {digits}-digit number of profiles")
     total = evaluable_set_count(n_alts) ** n_inds
     if total > budget:
         raise CensusBudgetError(total, budget)
@@ -212,9 +226,9 @@ def census_symmetric(
     """Classify one profile per maximal support, weighted by inclusion-exclusion.
 
     Walks the antichains A of evaluable sets with at most ``n_inds`` members
-    in ascending mask order. Each is classified as A padded to ``n_inds``
-    sets by repeating its last member, and adds ``support_weight`` to its
-    verdict. The budget is charged on the antichains: they are counted
+    in ascending mask order. Each is classified as A, padded to the 3 sets a
+    profile needs by repeating its last member, and adds ``support_weight``
+    to its verdict. The budget is charged on the antichains: they are counted
     first, and more than ``budget`` of them raises CensusBudgetError before
     any classification, or before any table is built when the same-size
     antichains alone are too many.
@@ -235,7 +249,7 @@ def census_symmetric(
     if required > budget:
         raise CensusBudgetError(required, budget, refusal)
     alts = _generic_names("a", n_alts)
-    inds = _generic_names("v", n_inds)
+    inds = _generic_names("v", len(masks))  # no padded antichain has more sets
     counts: Counter[str] = Counter()
 
     def walk(members: tuple[int, ...], candidates: int, down: int) -> None:
@@ -245,9 +259,9 @@ def census_symmetric(
             i = low.bit_length() - 1
             chosen = members + (masks[i],)
             reach = down | below[i]
-            padded = chosen + chosen[-1:] * (n_inds - len(chosen))
+            padded = chosen + chosen[-1:] * (3 - len(chosen))
             weight = support_weight(len(chosen), reach.bit_count(), n_inds)
-            verdict = classify(EvaluabilityProfile(alts, inds, padded)).verdict
+            verdict = classify(EvaluabilityProfile(alts, inds[: len(padded)], padded)).verdict
             counts[verdict] += weight
             rest = candidates & ~above[i]
             if rest and len(chosen) < n_inds:

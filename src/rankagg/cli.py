@@ -35,6 +35,7 @@ from .census import (
     census_symmetric,
     format_proportion,
     render_grid,
+    total_digits,
 )
 from .conditions import (
     IP,
@@ -355,12 +356,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_census(args: argparse.Namespace) -> int:
     _check_threads(args)
+    limit, digits = sys.get_int_max_str_digits(), total_digits(args.alts, args.inds)
+    if limit and digits > limit:  # Python could not print the total: refuse before any work
+        raise CensusBudgetError(digits, limit, f"census total has {digits} digits")
     budget = {} if args.budget is None else {"budget": args.budget}
-    if args.method == "brute":
-        report = census_brute(args.alts, args.inds, **budget)
-    else:
-        report = census_symmetric(args.alts, args.inds, **budget)
-    sys.stdout.write(dumps(census_json(report)))
+    census = census_brute if args.method == "brute" else census_symmetric
+    sys.stdout.write(dumps(census_json(census(args.alts, args.inds, **budget))))
     return 0
 
 

@@ -1,10 +1,10 @@
 """Exhaustive axiom verification of aggregation rules.
 
 A rule under test is a callable from a RankingProfile to the strict part of
-its output relation (a StrictDigraph on all alternatives). The output is read
-as a complete reflexive relation: a is weakly above b exactly when the arc
-(b, a) is absent. The verifier enumerates the entire ranking space, the
-product of all weak orders per individual, and checks:
+its output relation: a StrictDigraph on all alternatives, whose packed masks
+the verifier reads directly (another ground is refused). The output reads as
+a complete reflexive relation, a weakly above b exactly when the arc (b, a)
+is absent. Over the product of all weak orders per individual it checks:
 
 * tv   - every output relation is transitive;
 * pc   - pairs ranked strictly and unanimously by all common evaluators are
@@ -51,19 +51,17 @@ from .relations import (
     RankingProfile,
     StrictDigraph,
     WeakOrder,
-    arcs_mask_relation,
     bits,
     extension_mask_relation,
     mask_relation,
     ordered_bell,
     pack,
-    packed_digraph,
+    strict_part,
     strictly_above,
     weak_orders_on,
 )
 # unused here; bench/tracing.py BINDINGS rebinds these names by getattr
 from .aggregators import aggregate_delegation, aggregate_unanimity  # noqa: F401
-from .relations import strict_part  # noqa: F401
 
 Arf = Callable[[RankingProfile], StrictDigraph]
 
@@ -147,11 +145,7 @@ def _common_pairs(profile: EvaluabilityProfile) -> list[tuple[int, int, tuple[in
 
 
 def _outcome(arcs: frozenset[tuple[int, int]], a: int, b: int) -> int:
-    if (a, b) in arcs:
-        return 1
-    if (b, a) in arcs:
-        return -1
-    return 0
+    return ((a, b) in arcs) - ((b, a) in arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +206,14 @@ class _Kernel:
 
 
 def _closure_kernel(arf: Arf, profile: EvaluabilityProfile) -> _Kernel:
-    """Run any rule callable: build the ranking profile, convert its arcs."""
-    n = profile.n_alts
+    """Run any rule callable: build the ranking profile, read its masks."""
     orders = [weak_orders_on(m) for m in profile.evaluable]
 
     def decide(unanimity: int, value: int, indices: list[int]) -> MaskRelation:
-        rankings = RankingProfile(tuple(map(tuple.__getitem__, orders, indices)))
-        return arcs_mask_relation(arf(rankings).arcs, n)
+        output = arf(RankingProfile(tuple(map(tuple.__getitem__, orders, indices))))
+        if output.ground != profile.full_mask:
+            raise ValueError("a rule must return a digraph on all alternatives")
+        return output.above, output.below
 
     return _Kernel(profile, None, decide)
 
@@ -512,7 +507,7 @@ def replay(arf: Arf, profile: EvaluabilityProfile, ce: Counterexample) -> bool:
     if ce.axiom in ("pc", "wpc"):
         assert ce.rankings is not None and ce.pair is not None
         a, b = ce.pair
-        evaluators = [v for v in range(profile.n_inds) if _evaluates_both(profile, v, a, b)]
+        evaluators = list(bits(profile.evaluator_masks[a] & profile.evaluator_masks[b]))
         if not evaluators:
             return False
         out = _outcome(arf(ce.rankings).arcs, a, b)
@@ -524,10 +519,10 @@ def replay(arf: Arf, profile: EvaluabilityProfile, ce: Counterexample) -> bool:
     if ce.axiom == "iia":
         assert ce.rankings is not None and ce.rankings_alt is not None and ce.pair is not None
         a, b = ce.pair
-        evaluators = [v for v in range(profile.n_inds) if _evaluates_both(profile, v, a, b)]
+        evaluators = list(bits(profile.evaluator_masks[a] & profile.evaluator_masks[b]))
         same_inputs = all(
-            _pair_sign(ce.rankings.orders[v], a, b)
-            == _pair_sign(ce.rankings_alt.orders[v], a, b)
+            _outcome(strict_part(ce.rankings.orders[v]).arcs, a, b)
+            == _outcome(strict_part(ce.rankings_alt.orders[v]).arcs, a, b)
             for v in evaluators
         )
         return same_inputs and _outcome(arf(ce.rankings).arcs, a, b) != _outcome(
@@ -556,16 +551,6 @@ def replay(arf: Arf, profile: EvaluabilityProfile, ce: Counterexample) -> bool:
                     return False
         return True
     raise ValueError(f"unknown axiom {ce.axiom!r}")
-
-
-def _evaluates_both(profile: EvaluabilityProfile, v: int, a: int, b: int) -> bool:
-    m = profile.evaluable[v]
-    return bool((m >> a) & 1 and (m >> b) & 1)
-
-
-def _pair_sign(order: WeakOrder, a: int, b: int) -> int:
-    ra, rb = order.ranks[a], order.ranks[b]
-    return 1 if ra < rb else (-1 if rb < ra else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +684,6 @@ def _summed_rule(profile: EvaluabilityProfile, row: Row | None, decide: Decide) 
     def rule(rankings: RankingProfile) -> StrictDigraph:
         unanimity = packed_unanimity(profile, rankings)
         value = 0 if row is None else sum(row(v, order) for v, order in enumerate(rankings.orders))
-        return packed_digraph(decide(unanimity, value, [])[0], profile.n_alts, profile.full_mask)
+        return StrictDigraph(profile.full_mask, decide(unanimity, value, [])[0])
 
     return rule

@@ -8,13 +8,13 @@ structural rather than checked.
 
 Relations are computed as bitmasks. A relation on n nodes packs into one
 int: node x's mask of the nodes above it sits at bits x*n .. x*n + n - 1, so
-bit b*n + a reads "a strictly above b" (see ``pack``). ``StrictDigraph``, an
-asymmetric arc set checked at construction, is the public form of a result.
-Frozensets of arcs meet the packed ints at one boundary: ``packed_digraph``
-builds them and ``arcs_mask_relation`` reads them, so ``strict_part``,
-``is_acyclic`` and ``linear_extension`` all decide on packed masks.
-``linear_extension``, the aggregates and the verify kernel share one
-tiebreak-first extension, ``extension_mask_relation``.
+bit b*n + a reads "a strictly above b" (see ``pack``). ``StrictDigraph``, the
+public form of a result, holds that packed int and its ground set, checked
+at construction with mask operations. Its transpose ``below`` and its
+frozenset of ``arcs`` are built only when read, and ``from_arcs`` packs an
+arc set, so ``strict_part``, ``is_acyclic`` and ``linear_extension`` all
+decide on packed masks. ``linear_extension``, the aggregates and the verify
+kernel share one tiebreak-first extension, ``extension_mask_relation``.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safely shareable between threads.
@@ -110,19 +110,45 @@ class WeakOrder:
 
 @dataclass(frozen=True)
 class StrictDigraph:
-    """An asymmetric directed relation: arc (a, b) reads 'a strictly above b'."""
+    """An asymmetric directed relation on ``ground``, packed as ``pack`` lays
+    it out for n = ``ground.bit_length()`` nodes: bit b*n + a of ``above``
+    is the arc (a, b), read "a strictly above b"."""
 
     ground: int
-    arcs: frozenset[tuple[int, int]]
+    above: int
 
     def __post_init__(self) -> None:
-        for a, b in self.arcs:
+        # the lowest wrong bit: an arc off the ground's pairs, else one of an asymmetric pair
+        wrong = self.above & ~_pairs(self.ground) or self.above & self.below
+        if wrong:
+            b, a = divmod((wrong & -wrong).bit_length() - 1, self.ground.bit_length() or 1)
             if a == b:
                 raise ValueError(f"self-loop on {a}")
             if not (self.ground >> a) & 1 or not (self.ground >> b) & 1:
                 raise ValueError(f"arc ({a}, {b}) leaves the ground set")
-            if (b, a) in self.arcs:
-                raise ValueError(f"asymmetry violated on ({a}, {b})")
+            raise ValueError(f"asymmetry violated on ({a}, {b})")
+
+    @staticmethod
+    def from_arcs(ground: int, arcs: Iterable[tuple[int, int]]) -> "StrictDigraph":
+        """Pack an arc set on ``ground``; (a, b) reads "a strictly above b"."""
+        n = ground.bit_length()
+        above = 0
+        for a, b in arcs:
+            if not (0 <= a < n and 0 <= b < n):  # its bit would land in another row
+                raise ValueError(f"arc ({a}, {b}) leaves the ground set")
+            above |= 1 << (b * n + a)
+        return StrictDigraph(ground, above)
+
+    @cached_property
+    def below(self) -> int:
+        """The transpose of ``above``: bit a*n + b is the arc (a, b)."""
+        n = self.ground.bit_length()
+        return sum(1 << (i % n * n + i // n) for i in bits(self.above))
+
+    @cached_property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        n = self.ground.bit_length()
+        return frozenset((i % n, i // n) for i in bits(self.above))
 
 
 @dataclass(frozen=True)
@@ -140,8 +166,7 @@ class RankingProfile:
 
 def strict_part(order: WeakOrder) -> StrictDigraph:
     """Arcs (a, b) for every a strictly better than b in ``order``."""
-    n = order.ground.bit_length()
-    return packed_digraph(mask_relation(order, n)[0], n, order.ground)
+    return StrictDigraph(order.ground, mask_relation(order, order.ground.bit_length())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +210,6 @@ def mask_relation(order: WeakOrder, n: int) -> MaskRelation:
     return pack(above, n), pack(below, n)
 
 
-def arcs_mask_relation(arcs: Iterable[tuple[int, int]], n: int) -> MaskRelation:
-    """An arc set (a strictly above b for each (a, b)) as a mask relation."""
-    above = below = 0
-    for a, b in arcs:
-        above |= 1 << (b * n + a)
-        below |= 1 << (a * n + b)
-    return above, below
-
-
-def packed_digraph(packed: int, n: int, ground: int) -> StrictDigraph:
-    """The arcs of a packed relation on ``n`` nodes as a StrictDigraph."""
-    return StrictDigraph(ground, frozenset((i % n, i // n) for i in bits(packed)))
-
-
 def extension_mask_relation(
     constraint: int, n: int, tiebreak: tuple[int, ...]
 ) -> MaskRelation | None:
@@ -235,6 +246,13 @@ def _off_diagonal(n: int) -> int:
     return pack([full ^ 1 << x for x in range(n)], n)
 
 
+@lru_cache(maxsize=None)
+def _pairs(ground: int) -> int:
+    """The packed bits of every arc between two nodes of ``ground``."""
+    n = ground.bit_length()
+    return pack([ground ^ 1 << x if ground >> x & 1 else 0 for x in range(n)], n)
+
+
 def is_acyclic(digraph: StrictDigraph) -> tuple[bool, tuple[int, ...] | None]:
     """Decide acyclicity; on failure return a directed cycle as witness.
 
@@ -245,7 +263,7 @@ def is_acyclic(digraph: StrictDigraph) -> tuple[bool, tuple[int, ...] | None]:
     """
     n = digraph.ground.bit_length()
     full = (1 << n) - 1
-    below = arcs_mask_relation(digraph.arcs, n)[1]
+    below = digraph.below
     done = 0
     todo = digraph.ground
     while todo:
@@ -284,8 +302,7 @@ def linear_extension(digraph: StrictDigraph, tiebreak: WeakOrder) -> WeakOrder:
     """
     if not tiebreak.is_linear or tiebreak.ground != digraph.ground:
         raise ValueError("tiebreak must be a linear order on the digraph ground")
-    n = digraph.ground.bit_length()
-    order = packed_linear_extension(arcs_mask_relation(digraph.arcs, n)[0], n, tiebreak)
+    order = packed_linear_extension(digraph.above, digraph.ground.bit_length(), tiebreak)
     if order is None:
         raise CyclicRelationError(is_acyclic(digraph)[1])
     return order

@@ -474,7 +474,7 @@ def reference_unanimity_arcs(profile: EvaluabilityProfile, rankings: RankingProf
                 arcs.append((a, b))
             elif b_over_a:
                 arcs.append((b, a))
-    return StrictDigraph(profile.full_mask, frozenset(arcs))
+    return StrictDigraph.from_arcs(profile.full_mask, arcs)
 
 
 def reference_delegation_arcs(
@@ -496,7 +496,7 @@ def reference_delegation_arcs(
             arcs.append((a, b))
         else:
             arcs.append((b, a))
-    return StrictDigraph(tiebreak.ground, frozenset(arcs))
+    return StrictDigraph.from_arcs(tiebreak.ground, arcs)
 
 
 def reference_is_acyclic(digraph: StrictDigraph) -> tuple[bool, tuple[int, ...] | None]:
@@ -574,8 +574,8 @@ def reference_rule(rule_id: str, profile: EvaluabilityProfile, tiebreak: WeakOrd
         try:
             order = reference_linear_extension(constraint, tb)
         except CyclicRelationError:  # degenerate: everything tied
-            return StrictDigraph(full, frozenset())
-        return StrictDigraph(full, _strict_arcs(order))
+            return StrictDigraph.from_arcs(full, ())
+        return StrictDigraph.from_arcs(full, _strict_arcs(order))
 
     if name == "fstar":
         return lambda rankings: extended(reference_unanimity_arcs(profile, rankings))
@@ -583,7 +583,7 @@ def reference_rule(rule_id: str, profile: EvaluabilityProfile, tiebreak: WeakOrd
         delegates = pair_delegates(profile, maximal_cycle_family(profile))
         return lambda rankings: extended(reference_delegation_arcs(rankings, delegates, tb))
     if name == "constant":
-        return lambda rankings: StrictDigraph(full, _strict_arcs(tb))
+        return lambda rankings: StrictDigraph.from_arcs(full, _strict_arcs(tb))
     if name == "majority":
         ev = profile.evaluator_masks
         pairs = [
@@ -604,7 +604,7 @@ def reference_rule(rule_id: str, profile: EvaluabilityProfile, tiebreak: WeakOrd
                     arcs.append((a, b))
                 elif tally < 0:
                     arcs.append((b, a))
-            return StrictDigraph(full, frozenset(arcs))
+            return StrictDigraph.from_arcs(full, arcs)
 
         return majority
     if name == "dictatorship":
@@ -613,7 +613,7 @@ def reference_rule(rule_id: str, profile: EvaluabilityProfile, tiebreak: WeakOrd
 
         def dictatorship(rankings: RankingProfile) -> StrictDigraph:
             tiers = rankings.orders[chief].tiers
-            return StrictDigraph(full, _strict_arcs(WeakOrder(tiers + (rest,) if rest else tiers)))
+            return StrictDigraph.from_arcs(full, _strict_arcs(WeakOrder(tiers + (rest,) if rest else tiers)))
 
         return dictatorship
     raise ValueError(f"unknown rule {rule_id!r}")

@@ -308,7 +308,7 @@ def test_complete_dictator_always_reproduced_at_three_alternatives():
     spaces = [weak_orders_on(m) for m in profile.evaluable]
     for combo in itertools.product(*spaces):
         rankings = RankingProfile(combo)
-        result = aggregate_delegation(profile, rankings, family=family)
+        result = aggregate_delegation(profile, rankings)
         ranks = result.order.ranks
         chief = rankings.orders[0]
         for a, b in itertools.combinations(range(3), 2):
@@ -356,5 +356,5 @@ def test_unanimity_contained_in_delegation():
             dstar = delegation_relation(profile, rankings, family)
             assert star.arcs <= dstar.arcs
             # hence any delegation output extends the unanimity constraint
-            out = aggregate_delegation(profile, rankings, family=family)
+            out = aggregate_delegation(profile, rankings)
             assert extends(out.order, star)

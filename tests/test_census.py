@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 from fractions import Fraction
@@ -16,6 +17,7 @@ from rankagg.census import (
     format_proportion,
     render_grid,
     support_weight,
+    total_digits,
 )
 from rankagg.cli import main
 from rankagg.conditions import DP, classify
@@ -189,6 +191,56 @@ def test_brute_census_refuses_before_listing_masks(monkeypatch):
     with pytest.raises(CensusBudgetError) as err:
         census_brute(13, 3)
     assert err.value.required == evaluable_set_count(13) ** 3
+
+
+def test_brute_census_far_over_budget_builds_no_count():
+    # building 11^(10^7) alone takes about 11 s
+    start = time.perf_counter()
+    with pytest.raises(CensusBudgetError) as err:
+        census_brute(4, 10**7)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.required == 10413927
+    assert "10413927-digit" in str(err.value)
+
+
+@pytest.mark.parametrize("n_alts", [3, 4, 5, 6, 7])
+def test_total_digits_match_the_printed_count(n_alts):
+    sets = evaluable_set_count(n_alts)
+    for n_inds in range(1, 400):
+        assert total_digits(n_alts, n_inds) == len(str(sets**n_inds)), n_inds
+
+
+@pytest.mark.parametrize(
+    "n_alts,n_inds,digits",
+    [
+        # n_inds * log10(S) lies within 1e-6 of an integer: 314794.9999998
+        # and 195758.0000003, so the exact count decides
+        (6, 179281, 314795),
+        (3, 325147, 195759),
+    ],
+)
+def test_total_digits_near_a_power_of_ten(n_alts, n_inds, digits):
+    count = evaluable_set_count(n_alts) ** n_inds
+    assert 10 ** (digits - 1) <= count < 10**digits
+    assert total_digits(n_alts, n_inds) == digits
+
+
+@pytest.mark.parametrize("n_alts,n_inds", [(3, 3), (3, 4), (4, 3), (4, 4), (4, 6), (4, 40)])
+def test_symmetric_census_classifies_profiles_of_at_most_three_padded_sets(
+    monkeypatch, n_alts, n_inds
+):
+    expected = census_symmetric(n_alts, n_inds)
+    sizes = []
+
+    def recording(profile):
+        sizes.append((profile.n_inds, len(set(profile.evaluable))))
+        return classify(profile)
+
+    monkeypatch.setattr(census, "classify", recording)
+    assert census_symmetric(n_alts, n_inds) == expected
+    assert sizes and all(n <= max(3, members) for n, members in sizes)
+    if n_inds <= 4:
+        assert expected == dataclasses.replace(census_brute(n_alts, n_inds), method="symmetric")
 
 
 def test_enlarging_preserves_dictatorship_verdict():

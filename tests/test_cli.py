@@ -1,9 +1,11 @@
 import json
+import sys
 import time
 from importlib import resources
 
 import pytest
 
+from rankagg import cli
 from rankagg.cli import (
     DocumentError,
     dumps,
@@ -373,6 +375,49 @@ def test_census_symmetric_budget_charged_on_antichains(capsys):
     assert code == 4
     assert out == ""
     assert "antichains" in err
+
+
+@pytest.mark.parametrize("method", ["brute", "symmetric"])
+def test_census_total_too_long_to_print_is_refused_before_any_work(capsys, monkeypatch, method):
+    # 11^4200 has 4,374 digits, over the default limit of 4,300
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr(cli, "census_brute", refuse)
+    monkeypatch.setattr(cli, "census_symmetric", refuse)
+    code, out, err = run_cli(capsys, "census", "--method", method, "--alts", "4", "--inds", "4200")
+    assert code == 4
+    assert out == ""
+    assert "census total has 4374 digits" in err
+
+
+def test_census_total_within_the_print_limit_still_runs(capsys):
+    code, out, _ = run_cli(
+        capsys, "census", "--method", "symmetric", "--alts", "4", "--inds", "4000"
+    )
+    assert code == 0
+    assert json.loads(out)["total"] == 11**4000
+
+
+def test_census_digit_check_is_skipped_without_a_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = run_cli(
+            capsys, "census", "--method", "symmetric", "--alts", "4", "--inds", "4200"
+        )
+        assert code == 0
+        assert json.loads(out)["total"] == 11**4200
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_brute_census_of_ten_million_individuals_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "census", "--alts", "4", "--inds", "10000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert "10413927 digits" in err
 
 
 def test_census_too_few_alternatives_exits_2(capsys):

@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -35,6 +37,8 @@ from helpers import (
     to_lists,
     weak_order_pairs,
 )
+
+LIBRARY = Path(__file__).resolve().parents[1] / "src" / "rankagg"
 
 
 def linear(*seq):
@@ -123,12 +127,12 @@ def test_restrict_to_empty_set():
 
 
 def test_chain_is_acyclic():
-    ok, witness = is_acyclic(StrictDigraph(0b111, frozenset({(0, 1), (1, 2)})))
+    ok, witness = is_acyclic(StrictDigraph.from_arcs(0b111, {(0, 1), (1, 2)}))
     assert ok and witness is None
 
 
 def test_triangle_cycle_witnessed():
-    d = StrictDigraph(0b111, frozenset({(0, 1), (1, 2), (2, 0)}))
+    d = StrictDigraph.from_arcs(0b111, {(0, 1), (1, 2), (2, 0)})
     ok, witness = is_acyclic(d)
     assert not ok
     length = len(witness)
@@ -137,8 +141,37 @@ def test_triangle_cycle_witnessed():
 
 
 def test_asymmetry_enforced_at_construction():
-    with pytest.raises(ValueError):
-        StrictDigraph(0b11, frozenset({(0, 1), (1, 0)}))
+    with pytest.raises(ValueError, match=r"^asymmetry violated on \((0, 1|1, 0)\)$"):
+        StrictDigraph.from_arcs(0b11, {(0, 1), (1, 0)})
+    # the packed form of the same two arcs
+    with pytest.raises(ValueError, match="asymmetry violated"):
+        StrictDigraph(0b11, 0b0110)
+
+
+def test_self_loop_refused_at_construction():
+    with pytest.raises(ValueError, match=r"^self-loop on 2$"):
+        StrictDigraph.from_arcs(0b111, {(0, 1), (2, 2)})
+    with pytest.raises(ValueError, match=r"^self-loop on 1$"):
+        StrictDigraph(0b111, 1 << (1 * 3 + 1))
+
+
+def test_arc_off_the_ground_set_refused():
+    # node 1 is below the ground's top node but not in the ground
+    with pytest.raises(ValueError, match=r"^arc \(0, 1\) leaves the ground set$"):
+        StrictDigraph.from_arcs(0b101, {(0, 1)})
+    with pytest.raises(ValueError, match=r"^arc \(2, 1\) leaves the ground set$"):
+        StrictDigraph(0b101, 1 << (1 * 3 + 2))
+    # a bit past the n*n square of the packed layout
+    with pytest.raises(ValueError, match="leaves the ground set"):
+        StrictDigraph(0b111, 1 << 9)
+
+
+@pytest.mark.parametrize("arc", [(0, 3), (3, 0), (-1, 1), (1, 5)])
+def test_from_arcs_refuses_an_index_past_the_ground(arc):
+    # packed as is, (0, 3) on 3 nodes would set bit 9 and (3, 0) bit 3, which
+    # is the arc (0, 1): the index is refused before any bit is set
+    with pytest.raises(ValueError, match=rf"^arc \({arc[0]}, {arc[1]}\) leaves the ground set$"):
+        StrictDigraph.from_arcs(0b111, {arc})
 
 
 def test_worked_example_constraint_is_acyclic():
@@ -146,16 +179,16 @@ def test_worked_example_constraint_is_acyclic():
         (1, 3), (1, 0), (1, 2), (3, 0), (3, 2),
         (0, 2), (4, 5), (4, 3), (5, 3), (6, 5),
     }
-    ok, _ = is_acyclic(StrictDigraph(0b1111111, frozenset(arcs)))
+    ok, _ = is_acyclic(StrictDigraph.from_arcs(0b1111111, arcs))
     assert ok
 
 
-def _asymmetric_digraphs(ground):
-    """Every asymmetric digraph on ``ground``: each pair carries no arc or
-    one of its two arcs."""
+def _asymmetric_arc_sets(ground):
+    """The arc set of every asymmetric digraph on ``ground``: each pair
+    carries no arc or one of its two arcs."""
     options = [(None, (a, b), (b, a)) for a, b in itertools.combinations(bits(ground), 2)]
     for choice in itertools.product(*options):
-        yield StrictDigraph(ground, frozenset(arc for arc in choice if arc))
+        yield frozenset(arc for arc in choice if arc)
 
 
 SMALL_GROUNDS = (0b111, 0b1111, 0b10110, 0b11111, 0b101101)
@@ -165,8 +198,13 @@ def test_cycle_witness_matches_reference_on_every_small_digraph():
     # full grounds of 3, 4 and 5 nodes and two sparse ones: 60,561 digraphs
     seen = 0
     for ground in SMALL_GROUNDS:
-        for digraph in _asymmetric_digraphs(ground):
+        n = ground.bit_length()
+        for arcs in _asymmetric_arc_sets(ground):
             seen += 1
+            digraph = StrictDigraph.from_arcs(ground, arcs)
+            # the packed value round-trips, and "below" holds the reversed arcs
+            assert digraph.arcs == arcs
+            assert {(i // n, i % n) for i in bits(digraph.below)} == arcs
             assert is_acyclic(digraph) == reference_is_acyclic(digraph), digraph
     assert seen == 27 + 729 + 27 + 3**10 + 729
 
@@ -175,7 +213,8 @@ def test_extension_refuses_exactly_the_cyclic_small_digraphs():
     # the grounds of at most 4 nodes: 1,512 digraphs
     for ground in (0b111, 0b1111, 0b10110, 0b101101):
         tiebreak = WeakOrder.from_ranking(bits(ground))
-        for digraph in _asymmetric_digraphs(ground):
+        for arcs in _asymmetric_arc_sets(ground):
+            digraph = StrictDigraph.from_arcs(ground, arcs)
             acyclic, cycle = reference_is_acyclic(digraph)
             try:
                 order = linear_extension(digraph, tiebreak)
@@ -185,22 +224,44 @@ def test_extension_refuses_exactly_the_cyclic_small_digraphs():
                 assert acyclic and order == reference_linear_extension(digraph, tiebreak), digraph
 
 
+def _frozenset_calls(node, scope=""):
+    """The dotted scope of every ``frozenset(...)`` call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "frozenset":
+            yield inner
+        yield from _frozenset_calls(child, inner)
+
+
+def test_frozensets_of_arcs_are_built_only_by_strict_digraph_arcs():
+    # the library computes on packed masks; a frozenset is built only when
+    # someone reads StrictDigraph.arcs (annotations are not calls)
+    calls = [
+        (path.name, scope)
+        for path in sorted(LIBRARY.glob("*.py"))
+        for scope in _frozenset_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert calls == [("relations.py", "StrictDigraph.arcs")]
+
+
 # -- linear extension --------------------------------------------------------
 
 
 def test_extension_of_empty_constraints_is_tiebreak():
-    d = StrictDigraph(0b111, frozenset())
+    d = StrictDigraph.from_arcs(0b111, ())
     assert linear_extension(d, linear(0, 1, 2)) == linear(0, 1, 2)
     assert linear_extension(d, linear(2, 0, 1)) == linear(2, 0, 1)
 
 
 def test_extension_of_chain_ignores_tiebreak():
-    d = StrictDigraph(0b111, frozenset({(0, 1), (1, 2)}))
+    d = StrictDigraph.from_arcs(0b111, {(0, 1), (1, 2)})
     assert linear_extension(d, linear(2, 1, 0)) == linear(0, 1, 2)
 
 
 def test_extension_on_cycle_raises():
-    d = StrictDigraph(0b111, frozenset({(0, 1), (1, 2), (2, 0)}))
+    d = StrictDigraph.from_arcs(0b111, {(0, 1), (1, 2), (2, 0)})
     with pytest.raises(CyclicRelationError):
         linear_extension(d, linear(0, 1, 2))
 
@@ -210,7 +271,7 @@ def test_worked_example_extension_contains_all_arcs():
         (1, 3), (1, 0), (1, 2), (3, 0), (3, 2),
         (0, 2), (4, 5), (4, 3), (5, 3), (6, 5),
     })
-    d = StrictDigraph(0b1111111, arcs)
+    d = StrictDigraph.from_arcs(0b1111111, arcs)
     out = linear_extension(d, WeakOrder.from_ranking(range(7)))
     assert extends(out, d)
     # a hand-picked alternative sequence is itself a valid extension
@@ -219,7 +280,7 @@ def test_worked_example_extension_contains_all_arcs():
 
 def test_extension_matches_brute_force_membership():
     arcs = {(0, 2), (3, 1)}
-    d = StrictDigraph(0b1111, frozenset(arcs))
+    d = StrictDigraph.from_arcs(0b1111, arcs)
     out = linear_extension(d, linear(0, 1, 2, 3))
     valid = all_linear_extensions([0, 1, 2, 3], arcs)
     assert as_sequence(out) in valid
@@ -282,7 +343,7 @@ def acyclic_digraphs(draw, max_n=6):
         for j in range(i + 1, n):
             if draw(st.booleans()):
                 chosen.append((perm[i], perm[j]))
-    return StrictDigraph((1 << n) - 1, frozenset(chosen))
+    return StrictDigraph.from_arcs((1 << n) - 1, chosen)
 
 
 @given(weak_orders())
@@ -326,12 +387,12 @@ def sparse_acyclic_digraphs(draw):
             if draw(st.booleans()):
                 chosen.append((perm[i], perm[j]))
     tiebreak = WeakOrder.from_ranking(draw(st.permutations(nodes)))
-    return StrictDigraph(ground, frozenset(chosen)), tiebreak
+    return StrictDigraph.from_arcs(ground, chosen), tiebreak
 
 
 @given(sparse_acyclic_digraphs())
-@example((StrictDigraph(0b10110, frozenset({(4, 1)})), linear(1, 2, 4)))
-@example((StrictDigraph(0b10110, frozenset()), linear(4, 2, 1)))
+@example((StrictDigraph.from_arcs(0b10110, {(4, 1)}), linear(1, 2, 4)))
+@example((StrictDigraph.from_arcs(0b10110, ()), linear(4, 2, 1)))
 def test_extension_matches_kahn_reference(case):
     digraph, tiebreak = case
     assert linear_extension(digraph, tiebreak) == reference_linear_extension(digraph, tiebreak)

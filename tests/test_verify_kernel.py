@@ -115,7 +115,7 @@ def _assert_definitions_agree(profile):
                 delegation = reference_delegation_arcs(rankings, delegates, tb)
                 got = delegation_relation(profile, rankings, family, tiebreak)
                 assert got == delegation, rankings
-                result = aggregate_delegation(profile, rankings, tiebreak, family)
+                result = aggregate_delegation(profile, rankings, tiebreak)
                 _assert_extends(result, delegation, tb)
             for rule_id, rule, reference in zip(rule_ids, rules, references):
                 assert rule(rankings) == reference(rankings), (rule_id, rankings)
@@ -274,7 +274,7 @@ def _flipped(profile, flips, base="fstarstar"):
                     arcs ^= {(a, b), (b, a)}
                 else:
                     arcs.add((a, b))
-        return StrictDigraph(profile.full_mask, frozenset(arcs))
+        return StrictDigraph.from_arcs(profile.full_mask, arcs)
 
     return flipped
 
@@ -334,7 +334,7 @@ def test_nd_mask_sees_a_preference_dropped_on_the_last_profile():
     def union(rankings):
         voters = (1, 2) if rankings == last else (0, 1, 2)
         arcs = frozenset().union(*(strict_part(rankings.orders[v]).arcs for v in voters))
-        return StrictDigraph(profile.full_mask, arcs)
+        return StrictDigraph.from_arcs(profile.full_mask, arcs)
 
     report = verify_rule(union, profile)
     assert report.quasi_dictators == (1, 2)
@@ -348,7 +348,7 @@ def test_nd_mask_sees_a_dictator_give_way_on_the_last_profile():
 
     def rule(rankings):
         if rankings == last:
-            return StrictDigraph(profile.full_mask, frozenset())
+            return StrictDigraph.from_arcs(profile.full_mask, ())
         return chief(rankings)
 
     report = verify_rule(rule, profile)
@@ -379,6 +379,18 @@ def test_kernel_rejects_a_rule_compiled_for_another_profile():
     # instead of being swept with the first profile's rows
     with pytest.raises(ValueError):
         verify_rule(rule, second)
+
+
+def test_closure_path_rejects_a_digraph_on_fewer_alternatives():
+    # the packed layout depends on the ground, so a digraph on the first two
+    # of three alternatives would be read with the wrong row width
+    profile = profile_from_masks(3, (0b011, 0b110, 0b111))
+
+    def partial(rankings):
+        return StrictDigraph.from_arcs(0b011, {(0, 1)})
+
+    with pytest.raises(ValueError, match="all alternatives"):
+        verify_rule(partial, profile)
 
 
 @pytest.mark.slow
