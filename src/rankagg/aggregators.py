@@ -36,12 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conditions import ConditionViolationError, check_cycle_cover, maximal_cyclic_sets
-from .profiles import (
-    EvaluabilityProfile,
-    UnionGraph,
-    build_union_graph,
-    validate_rankings,
-)
+from .profiles import EvaluabilityProfile, build_union_graph, validate_rankings
 from .relations import (
     RankingProfile,
     StrictDigraph,
@@ -57,13 +52,11 @@ from .relations import (
 class MaximalCycleFamily:
     """Maximal cyclic node sets covering every cycle-touched node.
 
-    ``sets`` are pairwise non-nested node masks, ``residual`` holds the nodes
-    on no cycle at all, and ``dictators[x]`` is an individual whose evaluable
-    set contains ``sets[x]``.
+    ``sets`` are pairwise non-nested node masks, and ``dictators[x]`` is an
+    individual whose evaluable set contains ``sets[x]``.
     """
 
     sets: tuple[int, ...]
-    residual: int
     dictators: tuple[int, ...]
 
 
@@ -150,9 +143,7 @@ def aggregate_unanimity(
     return _extend(profile, packed_unanimity(profile, rankings), tb)
 
 
-def maximal_cycle_family(
-    profile: EvaluabilityProfile, graph: UnionGraph | None = None
-) -> MaximalCycleFamily:
+def maximal_cycle_family(profile: EvaluabilityProfile) -> MaximalCycleFamily:
     """Deterministic family of maximal cyclic sets with per-set dictators.
 
     Repeatedly picks the smallest (bitmask order) maximal cyclic set
@@ -161,14 +152,13 @@ def maximal_cycle_family(
     sets pairwise share at most one node. Raises ConditionViolationError when
     the cycle-cover check fails, carrying the uncovered cycle.
     """
-    g = graph if graph is not None else build_union_graph(profile)
-    maximal = maximal_cyclic_sets(g)
+    maximal = maximal_cyclic_sets(build_union_graph(profile))
     # every cyclic set lies in a maximal one, so cover holds exactly when
     # each maximal cyclic set lies inside some evaluable set
     if not all(any(m & ~c == 0 for c in profile.evaluable) for m in maximal):
         raise ConditionViolationError(
             "cycle cover fails; no dictator exists for some cycle",
-            cycle=check_cycle_cover(profile, g).uncovered_cycle,
+            cycle=check_cycle_cover(profile).uncovered_cycle,
         )
     cycle_nodes = 0
     for m in maximal:
@@ -183,7 +173,7 @@ def maximal_cycle_family(
         sets.append(chosen)
         dictators.append(next(v for v, c in enumerate(profile.evaluable) if chosen & ~c == 0))
         covered |= chosen
-    return MaximalCycleFamily(tuple(sets), profile.full_mask & ~covered, tuple(dictators))
+    return MaximalCycleFamily(tuple(sets), tuple(dictators))
 
 
 def pair_delegates(

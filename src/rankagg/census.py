@@ -47,8 +47,8 @@ class CensusBudgetError(RuntimeError):
     """The census needs more work than the configured budget allows.
 
     ``required`` is the labeled profile count of a brute census, its digit
-    count when far over the budget, or the number of antichains a symmetric
-    census counted before it passed the budget.
+    count when far over the budget, or the antichains a symmetric census
+    counted: one past the budget, or the same-size ones that alone pass it.
     """
 
     def __init__(self, required: int, budget: int, needs: str | None = None):
@@ -189,33 +189,24 @@ def _support_order(masks: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return below, above
 
 
-def _count_antichains(above: list[int], n_inds: int, limit: int) -> int:
-    """Antichains of at most ``n_inds`` sets, counted until the count
-    exceeds ``limit``.
+def _antichains(below: list[int], above: list[int], n_inds: int):
+    """Each antichain of at most ``n_inds`` sets, generated afresh on each
+    call, as its member indices and the index mask of its down-set. Members
+    are added in ascending index order, so a set's remaining candidates are
+    the later sets not above it; a set never lies above a later one."""
 
-    Members are added in ascending index order, so a set's remaining
-    candidates are the later sets not above it; a set never lies above a
-    later one. The last member is counted by popcount, not visited.
-    """
-    total = 0
-    stack = [((1 << len(above)) - 1, 1)]
-    while stack:
-        candidates, size = stack.pop()
-        if size == n_inds:
-            total += candidates.bit_count()
-            if total > limit:
-                return total
-            continue
+    def extend(members: tuple[int, ...], candidates: int, down: int):
         while candidates:
             low = candidates & -candidates
             candidates ^= low
-            total += 1
-            if total > limit:
-                return total
-            rest = candidates & ~above[low.bit_length() - 1]
-            if rest:
-                stack.append((rest, size + 1))
-    return total
+            i = low.bit_length() - 1
+            chosen, reach = members + (i,), down | below[i]
+            yield chosen, reach
+            rest = candidates & ~above[i]
+            if rest and len(chosen) < n_inds:
+                yield from extend(chosen, rest, reach)
+
+    return extend((), (1 << len(below)) - 1, 0)
 
 
 def census_symmetric(
@@ -245,29 +236,17 @@ def census_symmetric(
         raise CensusBudgetError(required, budget, refusal)
     masks = evaluable_masks(n_alts)
     below, above = _support_order(masks)
-    required = _count_antichains(above, n_inds, budget)
+    required = sum(1 for _ in itertools.islice(_antichains(below, above, n_inds), budget + 1))
     if required > budget:
         raise CensusBudgetError(required, budget, refusal)
     alts = _generic_names("a", n_alts)
     inds = _generic_names("v", len(masks))  # no padded antichain has more sets
     counts: Counter[str] = Counter()
-
-    def walk(members: tuple[int, ...], candidates: int, down: int) -> None:
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            i = low.bit_length() - 1
-            chosen = members + (masks[i],)
-            reach = down | below[i]
-            padded = chosen + chosen[-1:] * (3 - len(chosen))
-            weight = support_weight(len(chosen), reach.bit_count(), n_inds)
-            verdict = classify(EvaluabilityProfile(alts, inds[: len(padded)], padded)).verdict
-            counts[verdict] += weight
-            rest = candidates & ~above[i]
-            if rest and len(chosen) < n_inds:
-                walk(chosen, rest, reach)
-
-    walk((), (1 << len(masks)) - 1, 0)
+    for members, down in _antichains(below, above, n_inds):
+        chosen = tuple(masks[i] for i in members)
+        padded = chosen + chosen[-1:] * (3 - len(chosen))
+        weight = support_weight(len(chosen), down.bit_count(), n_inds)
+        counts[classify(EvaluabilityProfile(alts, inds[: len(padded)], padded)).verdict] += weight
     return CensusReport(
         n_alts, n_inds, sets**n_inds, counts["IP"], counts["DP"], counts["PP"], "symmetric"
     )

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from importlib import resources
-from typing import Any
+from typing import Any, Iterable
 
 from .aggregators import (
     AggregationResult,
@@ -33,6 +33,7 @@ from .census import (
     DEFAULT_SUPPORT_BUDGET,
     census_brute,
     census_symmetric,
+    dp_proportion_grid,
     format_proportion,
     render_grid,
     total_digits,
@@ -354,11 +355,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_unprintable_totals(sizes: Iterable[tuple[int, int]]) -> None:
+    """Refuse census sizes whose total Python could not print, before any work."""
+    limit = sys.get_int_max_str_digits()
+    for n_alts, n_inds in sizes:
+        if limit and (digits := total_digits(n_alts, n_inds)) > limit:
+            raise CensusBudgetError(digits, limit, f"census total has {digits} digits")
+
+
 def cmd_census(args: argparse.Namespace) -> int:
     _check_threads(args)
-    limit, digits = sys.get_int_max_str_digits(), total_digits(args.alts, args.inds)
-    if limit and digits > limit:  # Python could not print the total: refuse before any work
-        raise CensusBudgetError(digits, limit, f"census total has {digits} digits")
+    _refuse_unprintable_totals([(args.alts, args.inds)])
     budget = {} if args.budget is None else {"budget": args.budget}
     census = census_brute if args.method == "brute" else census_symmetric
     sys.stdout.write(dumps(census_json(census(args.alts, args.inds, **budget))))
@@ -375,9 +382,9 @@ def _parse_counts(flag: str) -> tuple[int, ...]:
 def cmd_table1(args: argparse.Namespace) -> int:
     alts = _parse_counts(args.alts) if args.alts else DEFAULT_GRID_ALTS
     inds = _parse_counts(args.inds) if args.inds else DEFAULT_GRID_INDS
+    # dp_proportion refuses fewer than 3 alternatives or individuals itself
+    _refuse_unprintable_totals((n, m) for n in alts for m in inds if n >= 3 and m >= 3)
     if args.json:
-        from .census import dp_proportion_grid
-
         grid = dp_proportion_grid(alts, inds)
         payload = {
             "alt_counts": list(alts),

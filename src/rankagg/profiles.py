@@ -132,7 +132,6 @@ class UnionGraph:
 
     node_count: int
     adjacency: tuple[int, ...]  # neighbor bitmask per node
-    cliques: tuple[int, ...]  # evaluable-set mask per individual
 
     @property
     def nodes(self) -> int:
@@ -145,7 +144,7 @@ def build_union_graph(profile: EvaluabilityProfile) -> UnionGraph:
     for m in profile.evaluable:
         for a in bits(m):
             adjacency[a] |= m ^ (1 << a)
-    return UnionGraph(n, tuple(adjacency), profile.evaluable)
+    return UnionGraph(n, tuple(adjacency))
 
 
 def complete_individuals(profile: EvaluabilityProfile) -> tuple[int, ...]:

@@ -584,7 +584,9 @@ def make_rule(
     ``verify_rule`` maps the rows over every weak order only after its
     budget check, so building a rule enumerates nothing.
     """
-    name, _, argument = rule_id.partition(":")
+    name, colon, argument = rule_id.partition(":")
+    if colon and name != "dictatorship":
+        raise ValueError(f"unknown rule {rule_id!r}")  # only a dictatorship takes an argument
     tb = check_tiebreak(profile, tiebreak)
     n = profile.n_alts
     sequence = tuple(tier.bit_length() - 1 for tier in tb.tiers)
@@ -651,7 +653,7 @@ def make_rule(
             return above, below
 
     elif name == "dictatorship":
-        if argument:
+        if colon:
             if argument not in profile.ind_index:
                 raise ProfileError(f"unknown individual {argument!r}")
             chief = profile.ind_index[argument]

@@ -238,9 +238,9 @@ def has_edge(graph: UnionGraph, a: int, b: int) -> bool:
     return bool((graph.adjacency[a] >> b) & 1)
 
 
-def clique_edges(graph: UnionGraph, v: int) -> frozenset[tuple[int, int]]:
+def clique_edges(profile: EvaluabilityProfile, v: int) -> frozenset[tuple[int, int]]:
     """The edges individual ``v`` contributes: all pairs of their set."""
-    return frozenset(itertools.combinations(bits(graph.cliques[v]), 2))
+    return frozenset(itertools.combinations(bits(profile.evaluable[v]), 2))
 
 
 def graph_is_complete(graph: UnionGraph) -> bool:
@@ -566,7 +566,7 @@ def _strict_arcs(order: WeakOrder) -> frozenset[tuple[int, int]]:
 
 def reference_rule(rule_id: str, profile: EvaluabilityProfile, tiebreak: WeakOrder | None = None):
     """The builtin rule ``rule_id`` of ``make_rule``, from its definition."""
-    name, _, argument = rule_id.partition(":")
+    name, colon, argument = rule_id.partition(":")
     tb = tiebreak if tiebreak is not None else default_tiebreak(profile)
     full = profile.full_mask
 
@@ -608,7 +608,7 @@ def reference_rule(rule_id: str, profile: EvaluabilityProfile, tiebreak: WeakOrd
 
         return majority
     if name == "dictatorship":
-        chief = profile.ind_index[argument] if argument else 0
+        chief = profile.ind_index[argument] if colon else 0
         rest = full & ~profile.evaluable[chief]
 
         def dictatorship(rankings: RankingProfile) -> StrictDigraph:

@@ -141,7 +141,6 @@ def test_degenerate_unanimity_aggregate_searches_no_cycle(monkeypatch):
 def test_example_family(example):
     family = maximal_cycle_family(example)
     assert family.sets == (mask_of([0, 1, 2, 3]), mask_of([3, 4, 5]))
-    assert family.residual == mask_of([6])
     assert family.dictators == (0, 1)
 
 
@@ -152,7 +151,6 @@ def test_family_of_acyclic_graph_is_empty():
     )
     family = maximal_cycle_family(profile)
     assert family.sets == ()
-    assert family.residual == 0b111
 
 
 def test_family_of_complete_individual_profile_spans_everything():
@@ -162,7 +160,6 @@ def test_family_of_complete_individual_profile_spans_everything():
     )
     family = maximal_cycle_family(profile)
     assert family.sets == (0b111,)
-    assert family.residual == 0
     assert family.dictators == (1,)
 
 
@@ -180,16 +177,14 @@ def _family_invariants(profile):
     from rankagg.profiles import build_union_graph
     from rankagg.conditions import maximal_cyclic_sets
 
-    graph = build_union_graph(profile)
-    family = maximal_cycle_family(profile, graph)
-    maximal = set(maximal_cyclic_sets(graph))
+    family = maximal_cycle_family(profile)
+    maximal = set(maximal_cyclic_sets(build_union_graph(profile)))
     cycle_nodes = 0
     for m in maximal:
         cycle_nodes |= m
-    # (i) pairwise non-nested, (ii) residual nodes lie on no cycle
+    # (i) pairwise non-nested, (ii) together they cover every cycle node
     for x, y in itertools.combinations(family.sets, 2):
         assert x & ~y and y & ~x
-    assert family.residual == profile.full_mask & ~cycle_nodes
     covered = 0
     for m in family.sets:
         assert m in maximal

@@ -175,12 +175,35 @@ def test_symmetric_census_refuses_fourteen_alternatives_before_any_table(capsys)
 @pytest.mark.parametrize("n_alts,n_inds", [(3, 3), (4, 3), (4, 6), (5, 3), (5, 4)])
 def test_symmetric_census_runs_at_a_budget_of_its_antichain_count(n_alts, n_inds):
     # the closed-form refusal never fires where the counted walk fits
-    _, above = census._support_order(evaluable_masks(n_alts))
-    walked = census._count_antichains(above, n_inds, 10**9)
+    below, above = census._support_order(evaluable_masks(n_alts))
+    walked = sum(1 for _ in census._antichains(below, above, n_inds))
     report = census_symmetric(n_alts, n_inds, budget=walked)
     assert report.total == evaluable_set_count(n_alts) ** n_inds
     with pytest.raises(CensusBudgetError):
         census_symmetric(n_alts, n_inds, budget=walked - 1)
+
+
+@pytest.mark.parametrize("n_alts,n_inds", [(3, 3), (4, 3), (4, 6), (5, 3)])
+def test_antichain_walk_yields_every_antichain_once_with_its_down_set(n_alts, n_inds):
+    masks = evaluable_masks(n_alts)
+    below, above = census._support_order(masks)
+    walked = list(census._antichains(below, above, n_inds))
+
+    def incomparable(i, j):
+        return masks[i] & ~masks[j] and masks[j] & ~masks[i]
+
+    expected = {
+        members
+        for size in range(1, n_inds + 1)
+        for members in itertools.combinations(range(len(masks)), size)
+        if all(incomparable(i, j) for i, j in itertools.combinations(members, 2))
+    }
+    assert len(walked) == len(expected)
+    assert {members for members, _ in walked} == expected
+    for members, down in walked:
+        assert down == sum(
+            1 << j for j, m in enumerate(masks) if any(m & ~masks[i] == 0 for i in members)
+        )
 
 
 def test_brute_census_refuses_before_listing_masks(monkeypatch):

@@ -432,6 +432,21 @@ def test_verify_unknown_rule_exits_2(capsys, example_paths):
     assert "borda" in err
 
 
+@pytest.mark.parametrize(
+    "rule,message",
+    [
+        ("majority:foo", "unknown rule 'majority:foo'"),
+        ("fstar:v9", "unknown rule 'fstar:v9'"),
+        ("constant:zzz", "unknown rule 'constant:zzz'"),
+        ("dictatorship:", "unknown individual ''"),
+    ],
+)
+def test_verify_rule_with_a_stray_argument_exits_2(capsys, example_paths, rule, message):
+    code, out, err = run_cli(capsys, "verify", "--rule", rule, example_paths[0])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_table_text_output(capsys):
     code, out, _ = run_cli(capsys, "table1")
     assert code == 0
@@ -445,6 +460,41 @@ def test_table_json_output(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["cells"]["3"]["6"] == "0.82"
+
+
+def test_default_table_matches_the_golden_grid(capsys):
+    golden = _golden("table1.txt")
+    code, out, _ = run_cli(capsys, "table1")
+    assert (code, out) == (0, golden)
+    code, out, _ = run_cli(capsys, "table1", "--json")
+    rows = [line.split() for line in golden.splitlines()]
+    assert code == 0
+    assert json.loads(out) == {
+        "alt_counts": [int(row[0]) for row in rows[1:]],
+        "ind_counts": [int(m) for m in rows[0][1:]],
+        "cells": {row[0]: dict(zip(rows[0][1:], row[1:])) for row in rows[1:]},
+    }
+
+
+@pytest.mark.parametrize(
+    "alts,inds,flags,digits",
+    # 502^10^7, and 4^10^7 for the first unprintable cell of the second grid
+    [("9", "10000000", (), 27007038), ("3,9", "3,10000000", ("--json",), 6020600)],
+)
+def test_table_with_an_unprintable_cell_is_refused_before_any_work(
+    capsys, monkeypatch, alts, inds, flags, digits
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was computed")
+
+    monkeypatch.setattr(cli, "dp_proportion_grid", refuse)
+    monkeypatch.setattr(cli, "render_grid", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "table1", "--alts", alts, "--inds", inds, *flags)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert out == ""
+    assert f"census total has {digits} digits" in err
 
 
 # -- witness ------------------------------------------------------------------

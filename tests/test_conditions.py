@@ -1,7 +1,11 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from rankagg import conditions
+from rankagg.census import evaluable_masks
 from rankagg.conditions import (
     DP,
     IP,
@@ -177,7 +181,8 @@ def test_complete_individual_profile_is_dictatorship():
 def test_example_is_possible(example):
     clf = classify(example)
     assert clf.verdict == PP
-    assert clf.spanning_free is not None and clf.spanning_free.holds
+    assert clf.complete_individual is None
+    assert check_spanning_cycle_free(example).holds
 
 
 def test_two_clique_regression_is_impossible():
@@ -202,6 +207,78 @@ def test_classification_truth_table_across_enumerated_spaces():
             profile = profile_from_masks(n_alts, masks)
             clf = classify(profile)
             assert (clf.verdict == DP) == bool(complete_individuals(profile))
+
+
+def _classified_as_the_search_decides(profile):
+    """Check ``classify`` against the spanning-cycle search: IP when cover
+    fails, DP when it holds and the graph has a spanning cycle (witnessed by
+    the first complete individual), PP when both checks hold."""
+    clf = classify(profile)
+    if not clf.cycle_cover.holds:
+        assert clf.verdict == IP and clf.complete_individual is None
+    elif check_spanning_cycle_free(profile).holds:
+        assert clf.verdict == PP and clf.complete_individual is None
+        assert complete_individuals(profile) == ()
+    else:
+        assert clf.verdict == DP
+        assert complete_individuals(profile)[:1] == (clf.complete_individual,)
+    return clf.verdict
+
+
+def test_classify_matches_spanning_search_on_every_small_multiset():
+    verdicts = Counter(
+        _classified_as_the_search_decides(profile_from_masks(n_alts, masks))
+        for n_alts, n_inds in ((3, 3), (4, 3), (4, 4), (5, 3))
+        for masks in itertools.combinations_with_replacement(evaluable_masks(n_alts), n_inds)
+    )
+    assert verdicts == {IP: 1850, DP: 713, PP: 2020}
+
+
+def _theorem_sample(rng, n_alts):
+    """Evaluable masks of one random profile: incomplete random sets with
+    sizes drawn uniformly (mostly IP), or the blocks of a random hyperforest with some
+    subsets inside them (PP), with a complete individual added (DP)."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return tuple(
+            mask_of(rng.sample(range(n_alts), rng.randint(2, n_alts - 1)))
+            for _ in range(rng.randint(3, 6))
+        )
+    order = rng.sample(range(n_alts), n_alts)
+    sets, placed = [], []
+    while len(placed) < n_alts:
+        new = order[len(placed): len(placed) + rng.randint(1, 4)]
+        # each block meets the earlier ones in at most one node
+        members = new + ([rng.choice(placed)] if placed and rng.random() < 0.8 else [])
+        if len(members) >= 2:
+            sets.append(mask_of(members))
+            if len(members) > 2 and rng.random() < 0.5:
+                sets.append(mask_of(rng.sample(members, rng.randint(2, len(members) - 1))))
+        placed += new
+    if kind == 2:
+        sets.insert(rng.randrange(len(sets) + 1), (1 << n_alts) - 1)
+    return tuple(sets) or ((1 << n_alts) - 1,)
+
+
+def test_classify_matches_spanning_search_on_random_profiles():
+    rng = random.Random(2025)
+    verdicts = Counter()
+    for _ in range(1000):
+        n_alts = rng.randint(6, 9)
+        profile = profile_from_masks(n_alts, _theorem_sample(rng, n_alts))
+        verdicts[_classified_as_the_search_decides(profile)] += 1
+    assert all(verdicts[v] >= 100 for v in (IP, DP, PP)), verdicts
+
+
+def test_classify_runs_no_spanning_cycle_search(monkeypatch, example):
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify searched for a spanning cycle")
+
+    monkeypatch.setattr(conditions, "_spanning_cycle_witness", refuse)
+    monkeypatch.setattr(conditions, "check_spanning_cycle_free", refuse)
+    assert classify(example).verdict == PP
+    clf = classify(_complete_profile(6))
+    assert (clf.verdict, clf.complete_individual) == (DP, 0)
 
 
 def test_acyclic_graph_profiles_classify_possible():

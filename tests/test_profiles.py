@@ -157,7 +157,7 @@ def test_clique_edges_reconstruction(example):
     graph = build_union_graph(example)
     union = set()
     for v in range(example.n_inds):
-        edges = clique_edges(graph, v)
+        edges = clique_edges(example, v)
         members = sorted(bits(example.evaluable[v]))
         assert edges == {(a, b) for a, b in itertools.combinations(members, 2)}
         union |= edges

@@ -11,6 +11,10 @@ A library module keeps a relative import that it never uses only so that
 the tracer can rebind it there. Each such import must therefore be a
 ``BINDINGS`` entry; once the entry goes, the check names the import to
 delete.
+
+A binding whose name its site module never uses traces nothing: its metric
+reads 0. The set of such tracer-only bindings is pinned, so a new one fails
+the check and the list of entries to drop stays exact.
 """
 
 import ast
@@ -49,6 +53,10 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
+def _used_names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
 def _unused_relative_imports(path):
     """Names a module imports relatively at module level and never uses."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -58,7 +66,7 @@ def _unused_relative_imports(path):
         if isinstance(node, ast.ImportFrom) and node.level
         for alias in node.names
     }
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = _used_names(tree)
     return [name for local, name in imported.items() if local not in used]
 
 
@@ -72,3 +80,20 @@ def test_every_unused_import_is_a_traced_name():
         if (path.stem, name) not in traced
     ]
     assert stale == []
+
+
+def test_tracer_only_bindings_are_exactly_the_known_ones():
+    used = {
+        path.stem: _used_names(ast.parse(path.read_text(encoding="utf-8")))
+        for path in LIBRARY.glob("*.py")
+    }
+    tracer_only = {
+        f"{site}.{attr}" for site, attr, _ in _bindings() if attr not in used[site]
+    }
+    assert tracer_only == {
+        "aggregators.is_acyclic",
+        "aggregators.linear_extension",
+        "properties.aggregate_unanimity",
+        "properties.aggregate_delegation",
+        "conditions.check_spanning_cycle_free",
+    }
