@@ -188,24 +188,11 @@ def pair_delegates(
     rankings, which is what makes the delegation rule independent of
     irrelevant alternatives.
     """
-    ev = profile.evaluator_masks
-    n = profile.n_alts
-    out: dict[tuple[int, int], int] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            shared = ev[a] & ev[b]
-            if not shared:
-                continue
-            pair_mask = (1 << a) | (1 << b)
-            delegate = None
-            for s, v in zip(family.sets, family.dictators):
-                if pair_mask & ~s == 0:
-                    delegate = v
-                    break
-            if delegate is None:
-                delegate = (shared & -shared).bit_length() - 1
-            out[(a, b)] = delegate
-    return out
+    owners = tuple(zip(family.sets, family.dictators))
+    return {
+        (a, b): next((v for s, v in owners if ((1 << a) | (1 << b)) & ~s == 0), evaluators[0])
+        for a, b, evaluators in profile.shared_pairs
+    }
 
 
 def delegated_pairs(

@@ -74,13 +74,13 @@ def evaluable_masks(n_alts: int) -> tuple[int, ...]:
 
 def total_digits(n_alts: int, n_inds: int) -> int:
     """Decimal digits of the labeled profile count S ** n_inds from n_inds *
-    log10(S), building the count only within 1e-6 of an integer."""
-    sets = evaluable_set_count(n_alts)
-    estimate = n_inds * log10(sets)
+    log10(S), building the count only within 1e-6 of an integer. From 64
+    alternatives on, S is not built: log10(S) is n_alts * log10(2) within 1e-17."""
+    estimate = n_inds * (log10(evaluable_set_count(n_alts)) if n_alts < 64 else n_alts * log10(2))
     near = round(estimate)
     if abs(estimate - near) > 1e-6 + estimate * 1e-15:
         return floor(estimate) + 1
-    return near + (sets**n_inds >= 10**near)
+    return near + (evaluable_set_count(n_alts) ** n_inds >= 10**near)
 
 
 def dp_proportion(n_alts: int, n_inds: int) -> Fraction:

@@ -52,6 +52,7 @@ from .properties import (
     BudgetExceededError,
     Counterexample,
     PropertyReport,
+    check_space_budget,
     make_rule,
     verify_rule,
 )
@@ -83,8 +84,9 @@ def parse_profile_document(doc: Any) -> EvaluabilityProfile:
     missing = expected - set(doc)
     if missing:
         raise DocumentError(f"missing profile fields: {sorted(missing)}")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise DocumentError(f"unsupported schema_version {doc['schema_version']!r}")
+    version = doc["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 equal 1
+        raise DocumentError(f"unsupported schema_version {version!r}")
     alternatives = doc["alternatives"]
     if not isinstance(alternatives, list) or not all(isinstance(a, str) for a in alternatives):
         raise DocumentError("alternatives must be a list of strings")
@@ -346,6 +348,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if axiom not in AXIOM_IDS:
             raise DocumentError(f"unknown axiom {axiom!r}")
     tiebreak = _parse_tiebreak(profile, args.tiebreak)
+    check_space_budget(profile, args.budget)  # before make_rule, which may sweep subsets
     try:
         rule = make_rule(args.rule, profile, tiebreak)
     except ConditionViolationError as exc:

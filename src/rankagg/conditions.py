@@ -15,9 +15,12 @@ set covers the spanning cycle; a complete set makes the graph complete), so
 complete individual. Each verdict carries a machine-checkable witness.
 
 A subset is "cyclic" when the induced subgraph has a Hamiltonian cycle on it,
-decided by a bitmask dynamic program over subsets. Screening only induced
-(chordless) cycles would be wrong: a chorded cycle can be uncovered while all
-induced cycles are covered, so the subset sweep is over all subsets.
+decided by the Held-Karp dynamic program over subsets. One table answers both
+whether a spanning cycle exists and which one is lexicographically smallest:
+the witness walks the table, so it is exponential in the subset size as the
+existence check is. Screening only induced (chordless) cycles would be wrong:
+a chorded cycle can be uncovered while all induced cycles are covered, so the
+subset sweep is over all subsets.
 
 ``cyclic_rankings`` builds the impossibility witness for an uncovered cycle:
 each individual ranks the cycle by a rotation pivoted at an alternative they
@@ -52,27 +55,20 @@ class ConditionViolationError(ValueError):
         super().__init__(message)
 
 
-def _local_adjacency(adjacency: tuple[int, ...], mask: int) -> tuple[list[int], list[int]]:
-    """Remap the subgraph induced by ``mask`` to dense local indices."""
+def _hamiltonian_table(adjacency: tuple[int, ...], mask: int) -> tuple[list[int], ...]:
+    """Held-Karp subset DP on the subgraph induced by ``mask``, remapped to
+    dense local indices: the nodes of ``mask``, their local adjacency, and
+    ``dp[visited]``, the mask of endpoints of paths that start at local node
+    0 and visit exactly ``visited``."""
     nodes = list(bits(mask))
     pos = {node: i for i, node in enumerate(nodes)}
-    local = []
+    adj = []
     for node in nodes:
         m = 0
         for w in bits(adjacency[node] & mask):
             m |= 1 << pos[w]
-        local.append(m)
-    return nodes, local
-
-
-def _spanning_cycle_exists(adjacency: tuple[int, ...], mask: int) -> bool:
-    """Bitmask DP: does the induced subgraph have a cycle through all of ``mask``?"""
-    if mask.bit_count() < 3:
-        return False
-    nodes, adj = _local_adjacency(adjacency, mask)
-    k = len(nodes)
-    full = (1 << k) - 1
-    # dp[visited] = bitmask of feasible endpoints of paths from local node 0
+        adj.append(m)
+    full = (1 << len(nodes)) - 1
     dp = [0] * (full + 1)
     dp[1] = 1
     for visited in range(1, full + 1):
@@ -89,57 +85,40 @@ def _spanning_cycle_exists(adjacency: tuple[int, ...], mask: int) -> bool:
                 wbit = ext & -ext
                 ext ^= wbit
                 dp[visited | wbit] |= wbit
-    return bool(dp[full] & adj[0])
+    return nodes, adj, dp
+
+
+def _spanning_cycle_exists(adjacency: tuple[int, ...], mask: int) -> bool:
+    """Does the induced subgraph have a cycle through all of ``mask``?"""
+    if mask.bit_count() < 3:
+        return False
+    _, adj, dp = _hamiltonian_table(adjacency, mask)
+    return bool(dp[-1] & adj[0])
 
 
 def _spanning_cycle_witness(adjacency: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
     """Lexicographically smallest spanning cycle of the induced subgraph.
 
-    The sequence starts at the smallest node of ``mask`` and greedily takes the
-    smallest completable extension, backed by a memoized feasibility search.
+    The sequence starts at the smallest node of ``mask`` and greedily takes
+    the smallest neighbor w from which a path over the unvisited nodes ends
+    next to the start. Reversed and prefixed with the start, that path runs
+    from the start over the unvisited nodes and ends at w, so the existence
+    table answers every step.
     """
     if mask.bit_count() < 3:
         return None
-    nodes, adj = _local_adjacency(adjacency, mask)
-    full = (1 << len(nodes)) - 1
-    memo: dict[tuple[int, int], bool] = {}
-
-    def completable(u: int, visited: int) -> bool:
-        if visited == full:
-            return bool(adj[u] & 1)
-        key = (u, visited)
-        known = memo.get(key)
-        if known is not None:
-            return known
-        ok = False
-        ext = adj[u] & ~visited
-        while ext:
-            wbit = ext & -ext
-            ext ^= wbit
-            if completable(wbit.bit_length() - 1, visited | wbit):
-                ok = True
-                break
-        memo[key] = ok
-        return ok
-
-    if not completable(0, 1):
+    nodes, adj, dp = _hamiltonian_table(adjacency, mask)
+    full = len(dp) - 1
+    if not dp[full] & adj[0]:
         return None
     seq = [0]
     visited = 1
     u = 0
     while visited != full:
-        ext = adj[u] & ~visited
-        while ext:
-            wbit = ext & -ext
-            ext ^= wbit
-            w = wbit.bit_length() - 1
-            if completable(w, visited | wbit):
-                seq.append(w)
-                visited |= wbit
-                u = w
-                break
-        else:  # unreachable: completable(u, visited) guaranteed an extension
-            raise RuntimeError("spanning cycle reconstruction lost feasibility")
+        step = adj[u] & ~visited & dp[(full ^ visited) | 1]
+        u = (step & -step).bit_length() - 1
+        seq.append(u)
+        visited |= 1 << u
     return tuple(nodes[i] for i in seq)
 
 

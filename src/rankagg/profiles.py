@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .relations import RankingProfile, bits, mask_of, pack
+from .relations import RankingProfile, bits, mask_of
 
 
 class ProfileError(ValueError):
@@ -77,11 +77,24 @@ class EvaluabilityProfile:
         return tuple(out)
 
     @cached_property
+    def shared_pairs(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """Every pair a < b that some individual evaluates together, with
+        its evaluators ascending, in ascending pair order."""
+        ev = self.evaluator_masks
+        n = self.n_alts
+        return tuple(
+            (a, b, tuple(bits(ev[a] & ev[b])))
+            for a in range(n)
+            for b in range(a + 1, n)
+            if ev[a] & ev[b]
+        )
+
+    @cached_property
     def common_pairs(self) -> int:
-        """The ordered pairs of distinct alternatives that some individual
-        evaluates together, packed as by ``relations.pack``: the union
-        graph's adjacency."""
-        return pack(build_union_graph(self).adjacency, self.n_alts)
+        """``shared_pairs`` in both orders, packed as by ``relations.pack``:
+        the union graph's adjacency."""
+        n = self.n_alts
+        return sum((1 << a * n + b) | (1 << b * n + a) for a, b, _ in self.shared_pairs)
 
     def alt_names(self, mask_or_ids: int | Iterable[int]) -> list[str]:
         ids = bits(mask_or_ids) if isinstance(mask_or_ids, int) else mask_or_ids

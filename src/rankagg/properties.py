@@ -126,22 +126,19 @@ def ranking_space_size(profile: EvaluabilityProfile) -> int:
     return size
 
 
+def check_space_budget(profile: EvaluabilityProfile, budget: int) -> int:
+    """The ranking space size, refused when it exceeds ``budget``."""
+    size = ranking_space_size(profile)
+    if size > budget:
+        raise BudgetExceededError(size, budget)
+    return size
+
+
 def enumerate_rankings(profile: EvaluabilityProfile) -> Iterator[RankingProfile]:
     """Every ranking profile in deterministic product order."""
     per_individual = [weak_orders_on(m) for m in profile.evaluable]
     for combo in itertools.product(*per_individual):
         yield RankingProfile(combo)
-
-
-def _common_pairs(profile: EvaluabilityProfile) -> list[tuple[int, int, tuple[int, ...]]]:
-    ev = profile.evaluator_masks
-    out = []
-    for a in range(profile.n_alts):
-        for b in range(a + 1, profile.n_alts):
-            shared = ev[a] & ev[b]
-            if shared:
-                out.append((a, b, tuple(bits(shared))))
-    return out
 
 
 def _outcome(arcs: frozenset[tuple[int, int]], a: int, b: int) -> int:
@@ -336,7 +333,7 @@ def _sweep(
 ) -> tuple[tuple[AxiomVerdict, ...], tuple[int, ...] | None]:
     n = profile.n_alts
     orders = [weak_orders_on(m) for m in profile.evaluable]
-    pairs = _common_pairs(profile)
+    pairs = profile.shared_pairs
     # bit positions of "a above b" and "b above a" for each common pair (a, b)
     keys = [(b * n + a, a * n + b) for a, b, _ in pairs]
     common = profile.common_pairs
@@ -487,9 +484,7 @@ def verify_rule(
     for axiom in axioms:
         if axiom not in AXIOM_IDS:
             raise ValueError(f"unknown axiom {axiom!r}")
-    size = ranking_space_size(profile)
-    if size > budget:
-        raise BudgetExceededError(size, budget)
+    size = check_space_budget(profile, budget)
     kernel = getattr(arf, "kernel", None)
     if kernel is None or kernel.profile != profile:
         kernel = _closure_kernel(arf, profile)
@@ -628,7 +623,7 @@ def make_rule(
         fields = []
         ballots: list[list[tuple[int, int, int]]] = [[] for _ in profile.evaluable]
         offset = 0
-        for a, b, evaluators in _common_pairs(profile):
+        for a, b, evaluators in profile.shared_pairs:
             size = (2 * len(evaluators)).bit_length()
             ab, ba = 1 << b * n + a, 1 << a * n + b
             fields.append((offset, (1 << size) - 1, len(evaluators), ab, ba))

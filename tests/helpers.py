@@ -198,6 +198,19 @@ def naive_hamiltonian(adjacency: tuple[int, ...], n: int) -> bool:
     return False
 
 
+def first_spanning_cycle(adjacency: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
+    """The first permutation of ``mask`` in lexicographic order, starting at
+    its smallest node, whose consecutive nodes and last-to-first are edges."""
+    nodes = list(bits(mask))
+    if len(nodes) < 3:
+        return None
+    for perm in itertools.permutations(nodes[1:]):
+        seq = (nodes[0],) + perm
+        if all((adjacency[a] >> b) & 1 for a, b in zip(seq, seq[1:] + seq[:1])):
+            return seq
+    return None
+
+
 def is_cyclic_subset(graph: UnionGraph, subset: int) -> bool:
     """True when ``subset`` is exactly the node set of some cycle of the graph."""
     if subset & ~graph.nodes:

@@ -226,11 +226,20 @@ def test_brute_census_far_over_budget_builds_no_count():
     assert "10413927-digit" in str(err.value)
 
 
-@pytest.mark.parametrize("n_alts", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n_alts", range(3, 13))
 def test_total_digits_match_the_printed_count(n_alts):
     sets = evaluable_set_count(n_alts)
     for n_inds in range(1, 400):
         assert total_digits(n_alts, n_inds) == len(str(sets**n_inds)), n_inds
+
+
+def test_total_digits_match_the_printed_count_from_the_log_of_two():
+    # from 64 alternatives on the estimate uses n_alts * log10(2), not S
+    for n_alts in (64, 65, 100, 1000, 3322):
+        sets = evaluable_set_count(n_alts)
+        for n_inds in range(1, 41):
+            digits = total_digits(n_alts, n_inds)
+            assert 10 ** (digits - 1) <= sets**n_inds < 10**digits, (n_alts, n_inds)
 
 
 @pytest.mark.parametrize(

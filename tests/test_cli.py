@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from rankagg import cli
+from rankagg import aggregators, census, cli
 from rankagg.cli import (
     DocumentError,
     dumps,
@@ -80,6 +80,15 @@ def test_wrong_schema_version_rejected():
     doc = dict(PEER_DOC, schema_version=7)
     with pytest.raises(DocumentError):
         parse_profile_document(doc)
+
+
+@pytest.mark.parametrize("version,shown", [(True, "True"), (1.0, "1.0")])
+def test_schema_version_equal_to_one_but_not_an_int_exits_2(capsys, tmp_path, version, shown):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(dict(PEER_DOC, schema_version=version)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out) == (2, "")
+    assert f"unsupported schema_version {shown}" in err
 
 
 def test_rankings_must_cover_evaluable_set():
@@ -312,6 +321,38 @@ def test_verify_budget_refused_before_any_rule_is_compiled(capsys, tmp_path):
         assert "4912515" in err
 
 
+def test_verify_fstarstar_refuses_the_budget_before_sweeping_subsets(
+    capsys, monkeypatch, tmp_path
+):
+    # triangles {x00,x01,x02}, {x02,x03,x04}, ...: seven of them on 15
+    # alternatives give 13^7 = 62,748,517 ranking profiles, over the default budget
+    names = [f"x{i:02d}" for i in range(15)]
+    path = tmp_path / "chain.json"
+    path.write_text(dumps({
+        "schema_version": 1,
+        "alternatives": names,
+        "individuals": [{"id": f"v{k}", "evaluates": names[2 * k:2 * k + 3]} for k in range(7)],
+    }), encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fstarstar swept the maximal cyclic sets")
+
+    monkeypatch.setattr(aggregators, "maximal_cyclic_sets", refuse)
+    code, out, err = run_cli(capsys, "verify", "--rule", "fstarstar", str(path))
+    assert (code, out) == (4, "")
+    assert "62748517" in err
+
+
+def test_verify_fstarstar_on_an_ip_profile_over_budget_exits_4(capsys, peer_path):
+    # the budget is checked before the cycle-cover precondition (exit 3)
+    code, out, err = run_cli(capsys, "verify", "--rule", "fstarstar", "--budget", "10", peer_path)
+    assert (code, out) == (4, "")
+    assert "ranking space has 27 profiles, budget allows 10" in err
+    code, _, err = run_cli(capsys, "verify", "--rule", "fstarstar", peer_path)
+    assert code == 3
+    assert "witness_cycle" in err
+
+
 def test_verify_unknown_axiom_exits_2(capsys, example_paths):
     code, _, err = run_cli(
         capsys, "verify", "--rule", "fstar", "--axioms", "tv,zz", example_paths[0]
@@ -418,6 +459,23 @@ def test_brute_census_of_ten_million_individuals_refused_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 4
     assert "10413927 digits" in err
+
+
+@pytest.mark.parametrize("command", [["census", "--inds", "3"], ["table1", "--inds", "3"]])
+def test_huge_alternative_count_refused_without_building_the_set_count(
+    capsys, monkeypatch, command
+):
+    real = census.evaluable_set_count
+
+    def small_only(n_alts):
+        if n_alts > 10**4:
+            raise AssertionError(f"built 2**{n_alts}")
+        return real(n_alts)
+
+    monkeypatch.setattr(census, "evaluable_set_count", small_only)
+    code, out, err = run_cli(capsys, *command, "--alts", "100000000")
+    assert (code, out) == (4, "")
+    assert err == "budget exceeded: census total has 90308999 digits, budget allows 4300\n"
 
 
 def test_census_too_few_alternatives_exits_2(capsys):

@@ -30,6 +30,7 @@ from helpers import (
     all_profiles_masks,
     as_sequence,
     distinct_clique_families,
+    first_spanning_cycle,
     has_edge,
     is_cyclic_subset,
     naive_cycle_cover,
@@ -357,3 +358,43 @@ def test_malformed_cycle_rejected(example):
     with pytest.raises(ProfileError):
         # a1 and a7 share no evaluator, so this is not a graph cycle
         cyclic_rankings(example, (0, 6, 1))
+
+
+def _all_graphs(n):
+    """Every simple graph on ``n`` nodes as an adjacency tuple."""
+    edges = list(itertools.combinations(range(n), 2))
+    for chosen in range(1 << len(edges)):
+        adj = [0] * n
+        for i, (a, b) in enumerate(edges):
+            if chosen >> i & 1:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        yield tuple(adj)
+
+
+def test_spanning_cycle_witness_is_the_first_cycle_on_every_small_graph():
+    for n in range(1, 6):
+        for adj in _all_graphs(n):
+            for mask in range(1 << n):
+                expected = first_spanning_cycle(adj, mask)
+                assert conditions._spanning_cycle_witness(adj, mask) == expected, (adj, mask)
+                assert conditions._spanning_cycle_exists(adj, mask) == (expected is not None)
+
+
+def test_spanning_cycle_witness_is_the_first_cycle_on_seeded_larger_graphs():
+    rng = random.Random(26)
+    found = 0
+    for n in (6, 7, 8):
+        for _ in range(25):
+            density = rng.choice((0.4, 0.6, 0.8))
+            adj = [0] * n
+            for a, b in itertools.combinations(range(n), 2):
+                if rng.random() < density:
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+            adj = tuple(adj)
+            for mask in [(1 << n) - 1] + [rng.randrange(1 << n) for _ in range(4)]:
+                expected = first_spanning_cycle(adj, mask)
+                found += expected is not None
+                assert conditions._spanning_cycle_witness(adj, mask) == expected, (adj, mask)
+    assert found  # the sample holds cycles, not only refusals

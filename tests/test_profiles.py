@@ -11,7 +11,8 @@ from rankagg.profiles import (
     complete_individuals,
     validate_rankings,
 )
-from rankagg.relations import RankingProfile, WeakOrder, bits
+from rankagg.census import evaluable_masks
+from rankagg.relations import RankingProfile, WeakOrder, bits, pack
 
 from helpers import (
     clique_edges,
@@ -239,3 +240,27 @@ def test_validate_rankings_rejects_wrong_ground(example):
 def test_validate_rankings_rejects_wrong_count(example):
     with pytest.raises(ProfileError):
         validate_rankings(example, RankingProfile((WeakOrder.from_ranking([0, 1]),)))
+
+
+def _assert_pairs_match_oracles(profile):
+    n = profile.n_alts
+    expected = tuple(
+        (a, b, common_evaluators(profile, a, b))
+        for a, b in itertools.combinations(range(n), 2)
+        if common_evaluators(profile, a, b)
+    )
+    assert profile.shared_pairs == expected
+    assert profile.common_pairs == pack(build_union_graph(profile).adjacency, n)
+
+
+def test_shared_and_common_pairs_match_the_oracles_on_every_four_three_multiset():
+    for masks in itertools.combinations_with_replacement(evaluable_masks(4), 3):
+        _assert_pairs_match_oracles(
+            EvaluabilityProfile(("a", "b", "c", "d"), ("v1", "v2", "v3"), masks)
+        )
+
+
+def test_shared_and_common_pairs_match_the_oracles_on_random_profiles():
+    rng = random.Random(26)
+    for _ in range(200):
+        _assert_pairs_match_oracles(random_profile(rng, rng.randint(3, 9), rng.randint(3, 6)))
