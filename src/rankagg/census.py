@@ -1,26 +1,36 @@
 """Exact censuses of evaluability profiles.
 
 Counts are over labeled individuals: with n alternatives there are
-2^n - n - 1 admissible evaluable sets (size at least 2), hence
-(2^n - n - 1)^m labeled profiles for m individuals. The brute census
-memoizes verdicts by the sorted mask tuple, since many labeled profiles share
-one multiset.
+S = 2^n - n - 1 admissible evaluable sets (size at least 2), hence S^m
+labeled profiles for m individuals. The brute census classifies every
+profile, memoizing verdicts by the sorted mask tuple.
 
-The brute census classifies every labeled profile. The symmetric census uses
-maximal support: a profile's verdict depends only on its maximal evaluable
-sets, an antichain A, because a set inside another set adds no edge, no
-cycle and no complete individual. The labeled m-profiles whose maximal
-support is exactly A are the m-tuples over the down-set of A (its d_A
-admissible sets below some member) that use every member of A, so by
-inclusion-exclusion there are
+The symmetric census classifies nothing. A verdict depends only on the
+maximal evaluable sets, an antichain A, since a set inside another adds no
+edge, cycle or complete individual, and ``support_weight(|A|, d_A, m)``
+labeled profiles have maximal support A, d_A counting the admissible sets
+below some member. Cover holds exactly when A is Berge-acyclic (Berge,
+*Hypergraphs*, 1989): two members share at most one alternative, and no
+members form a cycle. Under cover, a block B of 3 or more nodes lies in the
+member S holding the most of B: two paths inside B from a node outside S
+back to S, closed through the clique on S, would form a cycle that only a
+member holding more of B covers. S is a clique, so it is that block; maximal
+2-sets are bridges, and blocks form a forest. Conversely, cliques glued along
+a Berge-acyclic hypergraph are its blocks, and every cycle lies in a block.
+No 2-set then lies in two members, so d_A is additive: the sum of
+2^|e| - |e| - 1 over the members e.
 
-    sum_{j=0..|A|} (-1)^j * C(|A|, j) * (d_A - j)^m
-
-of them, which is zero unless |A| <= m. The symmetric census therefore
-classifies one profile per antichain with at most m members and weights it
-by that sum; the counts must equal the brute counts exactly. Every antichain
-gives a distinct profile, so nothing is memoized there. Its budget is
-charged on those antichains, counted before anything is classified.
+So cover is the sum of support_weight(k, D, m) over the labeled hyperforests
+on the alternatives with k edges of 2 or more members and down-set D. Rooted
+hypertrees satisfy A = x exp(sum_{s>=2} y z^(2^s-s-1) A^(s-1) / (s-1)!)
+(Flajolet and Sedgewick, *Analytic Combinatorics*, 2009, ch. II). By Lagrange
+inversion, T[s], the connected ones on s nodes, holds s^(k-1) (s-1)! /
+(prod (s_i-1)! prod mu_j!) hypertrees per multiset of k edge sizes s_i with
+sum (s_i - 1) = s - 1, mu_j the multiplicities of the sizes (Cayley's
+s^(s-2) when every s_i is 2). Split on the tree of the smallest alternative,
+F[n] = sum_s C(n-1, s-1) T[s] F[n-s], edges and down-sets adding. A complete
+individual is a one-edge hyperforest, so DP = S^m - (S-1)^m, PP = cover - DP
+and IP = S^m - cover. The budget bounds the cells of each table row.
 
 All counts and proportions are exact (big integers and Fractions); decimal
 strings appear only at the rendering edge.
@@ -31,24 +41,26 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, floor, log10
+from math import comb, factorial, floor, log10, prod
 
 from .conditions import classify
 from .profiles import EvaluabilityProfile
 
 DEFAULT_BUDGET = 10_000_000
-# antichains for the symmetric census: each costs one classification, about
-# 0.4 ms at 7 alternatives, so the default stops near a minute and a half
-DEFAULT_SUPPORT_BUDGET = 200_000
+# cells of one hyperforest table row for the symmetric census: the row of 30
+# alternatives has 16,975 and the table up to it takes 1.9 s on a 2-core
+# machine; 31 alternatives (20,552 cells) are refused after 2.8 s
+DEFAULT_FOREST_BUDGET = 20_000
 
 
 class CensusBudgetError(RuntimeError):
     """The census needs more work than the configured budget allows.
 
     ``required`` is the labeled profile count of a brute census, its digit
-    count when far over the budget, or the antichains a symmetric census
-    counted: one past the budget, or the same-size ones that alone pass it.
+    count when far over the budget, or the cells of the first hyperforest
+    table row of a symmetric census that passes the budget.
     """
 
     def __init__(self, required: int, budget: int, needs: str | None = None):
@@ -74,11 +86,18 @@ def evaluable_masks(n_alts: int) -> tuple[int, ...]:
 
 def total_digits(n_alts: int, n_inds: int) -> int:
     """Decimal digits of the labeled profile count S ** n_inds from n_inds *
-    log10(S), building the count only within 1e-6 of an integer. From 64
-    alternatives on, S is not built: log10(S) is n_alts * log10(2) within 1e-17."""
+    log10(S), with no S from 64 alternatives on (log10(S) is n_alts * log10(2)
+    within 1e-17). Within 1e-6 of an integer, log10(S) = n_alts * log10(2) +
+    log10(1 - (n_alts + 1) / 2^n_alts) is taken to 50 places, and only within
+    1e-30 of an integer is the count built."""
     estimate = n_inds * (log10(evaluable_set_count(n_alts)) if n_alts < 64 else n_alts * log10(2))
+    if abs(estimate - round(estimate)) > 1e-6 + estimate * 1e-15:
+        return floor(estimate) + 1
+    with localcontext(prec=50 + len(str(n_alts * n_inds))):
+        two = Decimal(2)
+        estimate = n_inds * (n_alts * two.log10() + (1 - (n_alts + 1) * two**-n_alts).log10())
     near = round(estimate)
-    if abs(estimate - near) > 1e-6 + estimate * 1e-15:
+    if abs(estimate - near) > Decimal("1e-30"):
         return floor(estimate) + 1
     return near + (evaluable_set_count(n_alts) ** n_inds >= 10**near)
 
@@ -173,83 +192,59 @@ def support_weight(members: int, down: int, n_inds: int) -> int:
     )
 
 
-def _support_order(masks: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Per set, the index masks of the sets below it (itself included) and
-    of the sets strictly above it, indices into ``masks``."""
-    below, above = [], []
-    for m in masks:
-        down = up = 0
-        for j, other in enumerate(masks):
-            if other & ~m == 0:
-                down |= 1 << j
-            elif m & ~other == 0:
-                up |= 1 << j
-        below.append(down)
-        above.append(up)
-    return below, above
+def _partitions(total: int, largest: int):
+    """Each multiset of positive parts summing to ``total``, none above
+    ``largest``, as a descending tuple."""
+    if total == 0:
+        yield ()
+    for part in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part,) + rest
 
 
-def _antichains(below: list[int], above: list[int], n_inds: int):
-    """Each antichain of at most ``n_inds`` sets, generated afresh on each
-    call, as its member indices and the index mask of its down-set. Members
-    are added in ascending index order, so a set's remaining candidates are
-    the later sets not above it; a set never lies above a later one."""
-
-    def extend(members: tuple[int, ...], candidates: int, down: int):
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            i = low.bit_length() - 1
-            chosen, reach = members + (i,), down | below[i]
-            yield chosen, reach
-            rest = candidates & ~above[i]
-            if rest and len(chosen) < n_inds:
-                yield from extend(chosen, rest, reach)
-
-    return extend((), (1 << len(below)) - 1, 0)
+def _hypertrees(size: int) -> Counter[tuple[int, int]]:
+    """Labeled connected hypertrees on ``size`` nodes with edges of at least
+    2 members, by (edges, down-set): one closed form per multiset of edge
+    sizes, each part of the partition being an edge size less one."""
+    row: Counter[tuple[int, int]] = Counter()
+    for parts in _partitions(size - 1, size - 1):
+        denominator = prod(map(factorial, parts)) * prod(map(factorial, Counter(parts).values()))
+        down = sum(2 ** (p + 1) - p - 2 for p in parts)
+        row[len(parts), down] += size ** len(parts) * factorial(size - 1) // (size * denominator)
+    return row
 
 
-def census_symmetric(
-    n_alts: int,
-    n_inds: int,
-    budget: int = DEFAULT_SUPPORT_BUDGET,
-) -> CensusReport:
-    """Classify one profile per maximal support, weighted by inclusion-exclusion.
+def _hyperforests(n_alts: int, budget: int) -> Counter[tuple[int, int]]:
+    """Labeled hyperforests on ``n_alts`` nodes with edges of at least 2
+    members, by (edges, down-set), one row per node count. The first row with
+    more than ``budget`` cells raises CensusBudgetError."""
+    trees: list[Counter[tuple[int, int]]] = [Counter()]
+    forests = [Counter({(0, 0): 1})]
+    for size in range(1, n_alts + 1):
+        trees.append(_hypertrees(size))
+        row: Counter[tuple[int, int]] = Counter()
+        for s in range(1, size + 1):
+            ways = comb(size - 1, s - 1)
+            for (k, down), count in trees[s].items():
+                for (rest_k, rest_down), rest in forests[size - s].items():
+                    row[k + rest_k, down + rest_down] += ways * count * rest
+        if len(row) > budget:
+            raise CensusBudgetError(len(row), budget, f"hyperforest table row {size} has {len(row)} cells")
+        forests.append(row)
+    return forests[n_alts]
 
-    Walks the antichains A of evaluable sets with at most ``n_inds`` members
-    in ascending mask order. Each is classified as A, padded to the 3 sets a
-    profile needs by repeating its last member, and adds ``support_weight``
-    to its verdict. The budget is charged on the antichains: they are counted
-    first, and more than ``budget`` of them raises CensusBudgetError before
-    any classification, or before any table is built when the same-size
-    antichains alone are too many.
-    """
+
+def census_symmetric(n_alts: int, n_inds: int, budget: int = DEFAULT_FOREST_BUDGET) -> CensusReport:
+    """Count the verdicts from the hyperforest table (module docstring), with
+    ``budget`` cells per table row; no profile is classified."""
     if n_inds < 3:
         raise ValueError("need at least 3 individuals")
     sets = evaluable_set_count(n_alts)
-    refusal = f"maximal-support census has more than {budget} antichains"
-    # same-size sets are incomparable, so their antichains bound the count
-    sizes = (comb(n_alts, k) for k in range(2, n_alts + 1))
-    lower = itertools.accumulate(comb(s, j) for s in sizes for j in range(1, min(n_inds, s) + 1))
-    required = next((count for count in lower if count > budget), 0)
-    if required > budget:
-        raise CensusBudgetError(required, budget, refusal)
-    masks = evaluable_masks(n_alts)
-    below, above = _support_order(masks)
-    required = sum(1 for _ in itertools.islice(_antichains(below, above, n_inds), budget + 1))
-    if required > budget:
-        raise CensusBudgetError(required, budget, refusal)
-    alts = _generic_names("a", n_alts)
-    inds = _generic_names("v", len(masks))  # no padded antichain has more sets
-    counts: Counter[str] = Counter()
-    for members, down in _antichains(below, above, n_inds):
-        chosen = tuple(masks[i] for i in members)
-        padded = chosen + chosen[-1:] * (3 - len(chosen))
-        weight = support_weight(len(chosen), down.bit_count(), n_inds)
-        counts[classify(EvaluabilityProfile(alts, inds[: len(padded)], padded)).verdict] += weight
-    return CensusReport(
-        n_alts, n_inds, sets**n_inds, counts["IP"], counts["DP"], counts["PP"], "symmetric"
-    )
+    forests = _hyperforests(n_alts, budget)
+    cover = sum(count * support_weight(k, down, n_inds) for (k, down), count in forests.items())
+    total = sets**n_inds
+    dp = total - (sets - 1) ** n_inds
+    return CensusReport(n_alts, n_inds, total, total - cover, dp, cover - dp, "symmetric")
 
 
 DEFAULT_GRID_ALTS = (3, 5, 7, 9)

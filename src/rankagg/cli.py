@@ -28,9 +28,9 @@ from .census import (
     CensusBudgetError,
     CensusReport,
     DEFAULT_BUDGET,
+    DEFAULT_FOREST_BUDGET,
     DEFAULT_GRID_ALTS,
     DEFAULT_GRID_INDS,
-    DEFAULT_SUPPORT_BUDGET,
     census_brute,
     census_symmetric,
     dp_proportion_grid,
@@ -52,6 +52,7 @@ from .properties import (
     BudgetExceededError,
     Counterexample,
     PropertyReport,
+    check_rule_id,
     check_space_budget,
     make_rule,
     verify_rule,
@@ -348,6 +349,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if axiom not in AXIOM_IDS:
             raise DocumentError(f"unknown axiom {axiom!r}")
     tiebreak = _parse_tiebreak(profile, args.tiebreak)
+    check_rule_id(args.rule, profile)
     check_space_budget(profile, args.budget)  # before make_rule, which may sweep subsets
     try:
         rule = make_rule(args.rule, profile, tiebreak)
@@ -503,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=int,
-        help="brute: labeled profiles (default %d); symmetric: antichains of "
-        "maximal evaluable sets (default %d)" % (DEFAULT_BUDGET, DEFAULT_SUPPORT_BUDGET),
+        help="brute: labeled profiles (default %d); symmetric: cells of a "
+        "hyperforest table row (default %d)" % (DEFAULT_BUDGET, DEFAULT_FOREST_BUDGET),
     )
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_census)

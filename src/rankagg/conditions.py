@@ -10,9 +10,10 @@ Two structural checks on the co-evaluation graph drive everything:
 Profiles are classified IP / DP / PP: cycle cover fails; cycle cover holds
 but a spanning cycle exists; or both checks hold. Under cycle cover a
 spanning cycle exists exactly when some individual is complete (one evaluable
-set covers the spanning cycle; a complete set makes the graph complete), so
-``classify`` decides DP with no spanning-cycle search, from the first
-complete individual. Each verdict carries a machine-checkable witness.
+set covers the spanning cycle; a complete set makes the graph complete and
+covers every cycle), so ``classify`` decides DP first, from the first
+complete individual, with no subset sweep. Each verdict carries a
+machine-checkable witness.
 
 A subset is "cyclic" when the induced subgraph has a Hamiltonian cycle on it,
 decided by the Held-Karp dynamic program over subsets. One table answers both
@@ -203,17 +204,17 @@ class ProfileClassification:
 
 
 def classify(profile: EvaluabilityProfile) -> ProfileClassification:
-    """Classify a profile as IP, DP, or PP with a machine-checkable witness."""
-    # Cover is decided first, although a complete individual alone settles DP:
-    # deciding DP first skips both subset sweeps on DP profiles, a speedup of
-    # the benchmark's classify commands that waits for ROADMAP item 1.
-    cover = check_cycle_cover(profile)
-    if not cover.holds:
-        return ProfileClassification(IP, cover, None)
+    """Classify a profile as IP, DP, or PP with a machine-checkable witness.
+
+    A complete individual makes the graph complete, so its set is the one
+    maximal cyclic set and covers every cycle: DP needs no sweep.
+    """
     complete = complete_individuals(profile)
     if complete:
-        return ProfileClassification(DP, cover, complete[0])
-    return ProfileClassification(PP, cover, None)
+        certificate = ((profile.full_mask, complete[0]),)
+        return ProfileClassification(DP, CycleCoverCheck(True, None, certificate), complete[0])
+    cover = check_cycle_cover(profile)
+    return ProfileClassification(PP if cover.holds else IP, cover, None)
 
 
 @dataclass(frozen=True)

@@ -556,6 +556,17 @@ def replay(arf: Arf, profile: EvaluabilityProfile, ce: Counterexample) -> bool:
 RULE_IDS = ("fstar", "fstarstar", "constant", "majority", "dictatorship")
 
 
+def check_rule_id(rule_id: str, profile: EvaluabilityProfile) -> tuple[str, int]:
+    """The rule name and the dictatorship's chief (individual 0 unless
+    ``dictatorship:ID`` names one); refuses an unknown rule or individual."""
+    name, colon, argument = rule_id.partition(":")
+    if name not in RULE_IDS or colon and name != "dictatorship":
+        raise ValueError(f"unknown rule {rule_id!r}")  # only a dictatorship takes an argument
+    if colon and argument not in profile.ind_index:
+        raise ProfileError(f"unknown individual {argument!r}")
+    return name, profile.ind_index[argument] if colon else 0
+
+
 def make_rule(
     rule_id: str,
     profile: EvaluabilityProfile,
@@ -579,9 +590,7 @@ def make_rule(
     ``verify_rule`` maps the rows over every weak order only after its
     budget check, so building a rule enumerates nothing.
     """
-    name, colon, argument = rule_id.partition(":")
-    if colon and name != "dictatorship":
-        raise ValueError(f"unknown rule {rule_id!r}")  # only a dictatorship takes an argument
+    name, chief = check_rule_id(rule_id, profile)
     tb = check_tiebreak(profile, tiebreak)
     n = profile.n_alts
     sequence = tuple(tier.bit_length() - 1 for tier in tb.tiers)
@@ -647,13 +656,7 @@ def make_rule(
                     below |= ab
             return above, below
 
-    elif name == "dictatorship":
-        if colon:
-            if argument not in profile.ind_index:
-                raise ProfileError(f"unknown individual {argument!r}")
-            chief = profile.ind_index[argument]
-        else:
-            chief = 0
+    else:  # dictatorship
         rest = profile.full_mask & ~profile.evaluable[chief]
         square = n * n
 
@@ -667,8 +670,6 @@ def make_rule(
         def decide(unanimity: int, value: int, indices: list[int]) -> MaskRelation:
             return value & (1 << square) - 1, value >> square
 
-    else:
-        raise ValueError(f"unknown rule {rule_id!r}")
     rule = _summed_rule(profile, row, decide)
     rule.kernel = _Kernel(profile, row, decide)  # type: ignore[attr-defined]
     return rule

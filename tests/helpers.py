@@ -10,14 +10,24 @@ wrappers and ``quasi_dictators`` are conveniences over ``verify_rule`` that
 only the tests use, as are the evaluator and union-graph queries
 (``evaluators_of``, ``graph_edges``, ``is_cyclic_subset`` and the like) and
 the weak-order and pair-set queries (``relation_pairs``, ``restrict``,
-``extends`` and the like).
+``extends`` and the like). ``antichain_census`` classifies one padded profile
+per antichain of evaluable sets, as an oracle for the symmetric census's
+hyperforest count.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
+from rankagg.census import (
+    CensusReport,
+    evaluable_masks,
+    evaluable_set_count,
+    support_weight,
+)
+from rankagg.conditions import classify
 from rankagg.profiles import (
     EvaluabilityProfile,
     ProfileError,
@@ -313,6 +323,68 @@ def profile_from_masks(n_alts: int, masks: tuple[int, ...]) -> EvaluabilityProfi
         tuple(f"a{i + 1}" for i in range(n_alts)),
         tuple(f"v{i + 1}" for i in range(len(padded))),
         padded,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The antichain census: the symmetric census's oracle
+# ---------------------------------------------------------------------------
+
+
+def support_order(masks: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Per set, the index masks of the sets below it (itself included) and
+    of the sets strictly above it, indices into ``masks``."""
+    below, above = [], []
+    for m in masks:
+        down = up = 0
+        for j, other in enumerate(masks):
+            if other & ~m == 0:
+                down |= 1 << j
+            elif m & ~other == 0:
+                up |= 1 << j
+        below.append(down)
+        above.append(up)
+    return below, above
+
+
+def antichains(below: list[int], above: list[int], n_inds: int):
+    """Each antichain of at most ``n_inds`` sets, generated afresh on each
+    call, as its member indices and the index mask of its down-set. Members
+    are added in ascending index order, so a set's remaining candidates are
+    the later sets not above it; a set never lies above a later one."""
+
+    def extend(members: tuple[int, ...], candidates: int, down: int):
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            chosen, reach = members + (i,), down | below[i]
+            yield chosen, reach
+            rest = candidates & ~above[i]
+            if rest and len(chosen) < n_inds:
+                yield from extend(chosen, rest, reach)
+
+    return extend((), (1 << len(below)) - 1, 0)
+
+
+def antichain_census(n_alts: int, n_inds: int) -> CensusReport:
+    """Classify one profile per maximal support, weighted by inclusion-exclusion.
+
+    Walks the antichains A of evaluable sets with at most ``n_inds`` members
+    in ascending mask order. Each is classified as A, padded to the 3 sets a
+    profile needs by repeating its last member, and adds ``support_weight``
+    to its verdict.
+    """
+    masks = evaluable_masks(n_alts)
+    below, above = support_order(masks)
+    counts: Counter[str] = Counter()
+    for members, down in antichains(below, above, n_inds):
+        chosen = tuple(masks[i] for i in members)
+        weight = support_weight(len(chosen), down.bit_count(), n_inds)
+        counts[classify(profile_from_masks(n_alts, chosen)).verdict] += weight
+    total = evaluable_set_count(n_alts) ** n_inds
+    return CensusReport(
+        n_alts, n_inds, total, counts["IP"], counts["DP"], counts["PP"], "symmetric"
     )
 
 

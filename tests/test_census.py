@@ -1,6 +1,7 @@
-import dataclasses
 import itertools
+import json
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,13 @@ from rankagg.cli import main
 from rankagg.conditions import DP, classify
 from rankagg.profiles import EvaluabilityProfile
 
-from helpers import all_profiles_masks, profile_from_masks
+from helpers import (
+    all_profiles_masks,
+    antichain_census,
+    antichains,
+    profile_from_masks,
+    support_order,
+)
 
 
 @pytest.mark.parametrize("n,expected", [(3, 4), (4, 11), (5, 26)])
@@ -89,7 +96,7 @@ def test_dp_count_identity():
 
 def test_symmetric_census_matches_brute():
     # every size whose labeled space has at most 20,000 profiles
-    for n_alts, n_inds in ((3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4), (5, 3)):
+    for n_alts, n_inds in ((3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (4, 3), (4, 4), (5, 3)):
         brute = census_brute(n_alts, n_inds)
         symmetric = census_symmetric(n_alts, n_inds)
         assert (symmetric.ip, symmetric.dp, symmetric.pp) == (brute.ip, brute.dp, brute.pp)
@@ -98,14 +105,18 @@ def test_symmetric_census_matches_brute():
 
 
 def test_symmetric_census_memoizes_nothing(monkeypatch):
-    # every antichain is a distinct profile, so a verdict cache never hits
+    # the symmetric census classifies no profile, so it needs no verdict cache
     brute = census_brute(4, 4)
 
     class Refused:
         def __init__(self, *args):
             raise AssertionError("the symmetric census built a verdict cache")
 
+    def refuse(profile):
+        raise AssertionError("the symmetric census classified a profile")
+
     monkeypatch.setattr(census, "_VerdictCache", Refused)
+    monkeypatch.setattr(census, "classify", refuse)
     symmetric = census_symmetric(4, 4)
     assert (symmetric.ip, symmetric.dp, symmetric.pp) == (brute.ip, brute.dp, brute.pp)
     with pytest.raises(AssertionError):
@@ -153,41 +164,44 @@ def test_budget_guard():
     assert err.value.required == 256
 
 
-def test_symmetric_budget_counts_antichains():
-    # 4x6 has 113 antichains of at most 6 evaluable sets, far fewer than
-    # its 11^6 labeled profiles
-    assert census_symmetric(4, 6, budget=113).total == 11**6
+def test_symmetric_budget_counts_table_cells():
+    # the hyperforest rows grow with the alternatives, so the last row is the
+    # largest; the first row over the budget is refused with its cell count
+    assert [len(census._hyperforests(n, 10**9)) for n in range(1, 7)] == [1, 2, 4, 7, 12, 19]
+    assert census_symmetric(6, 3, budget=19).total == 57**3
     with pytest.raises(CensusBudgetError) as err:
-        census_symmetric(4, 6, budget=112)
-    assert err.value.required == 113
-    assert "antichains" in str(err.value)
+        census_symmetric(6, 3, budget=18)
+    assert err.value.required == 19
+    assert str(err.value) == "hyperforest table row 6 has 19 cells, budget allows 18"
+    with pytest.raises(CensusBudgetError) as err:
+        census_symmetric(6, 3, budget=3)
+    assert err.value.required == 4  # refused at the row of 3 alternatives
 
 
-def test_symmetric_census_refuses_fourteen_alternatives_before_any_table(capsys):
+def test_symmetric_census_answers_fourteen_alternatives(capsys):
     start = time.perf_counter()
     code = main(["census", "--method", "symmetric", "--alts", "14", "--inds", "3"])
     elapsed = time.perf_counter() - start
-    assert code == 4
-    assert "antichains" in capsys.readouterr().err
+    assert code == 0
+    counts = json.loads(capsys.readouterr().out)["counts"]
+    sets = evaluable_set_count(14)
+    assert counts["DP"] == sets**3 - (sets - 1) ** 3
+    assert sum(counts.values()) == sets**3
     assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("n_alts,n_inds", [(3, 3), (4, 3), (4, 6), (5, 3), (5, 4)])
 def test_symmetric_census_runs_at_a_budget_of_its_antichain_count(n_alts, n_inds):
-    # the closed-form refusal never fires where the counted walk fits
-    below, above = census._support_order(evaluable_masks(n_alts))
-    walked = sum(1 for _ in census._antichains(below, above, n_inds))
-    report = census_symmetric(n_alts, n_inds, budget=walked)
-    assert report.total == evaluable_set_count(n_alts) ** n_inds
-    with pytest.raises(CensusBudgetError):
-        census_symmetric(n_alts, n_inds, budget=walked - 1)
+    # a budget that admitted the antichain walk still admits the table:
+    # no row has as many cells as the walk had antichains
+    walked = sum(1 for _ in antichains(*support_order(evaluable_masks(n_alts)), n_inds))
+    assert census_symmetric(n_alts, n_inds, budget=walked) == census_symmetric(n_alts, n_inds)
 
 
 @pytest.mark.parametrize("n_alts,n_inds", [(3, 3), (4, 3), (4, 6), (5, 3)])
 def test_antichain_walk_yields_every_antichain_once_with_its_down_set(n_alts, n_inds):
     masks = evaluable_masks(n_alts)
-    below, above = census._support_order(masks)
-    walked = list(census._antichains(below, above, n_inds))
+    walked = list(antichains(*support_order(masks), n_inds))
 
     def incomparable(i, j):
         return masks[i] & ~masks[j] and masks[j] & ~masks[i]
@@ -204,6 +218,64 @@ def test_antichain_walk_yields_every_antichain_once_with_its_down_set(n_alts, n_
         assert down == sum(
             1 << j for j, m in enumerate(masks) if any(m & ~masks[i] == 0 for i in members)
         )
+
+
+@pytest.mark.parametrize(
+    "n_alts,n_inds",
+    [
+        (3, 3), (3, 4), (3, 6), (4, 3), (4, 4), (4, 6), (4, 40), (5, 3), (5, 4), (6, 3),
+        pytest.param(6, 4, marks=pytest.mark.slow),
+    ],
+)
+def test_symmetric_census_equals_the_antichain_census(n_alts, n_inds):
+    assert census_symmetric(n_alts, n_inds) == antichain_census(n_alts, n_inds)
+
+
+@pytest.mark.parametrize(
+    "n_alts,n_inds,counts",
+    [
+        (6, 3, (114120, 9577, 61496)),
+        (6, 4, (8262180, 721505, 1572316)),
+        (9, 3, (112215282, 754507, 13536219)),
+    ],
+)
+def test_symmetric_census_pinned_counts(n_alts, n_inds, counts):
+    report = census_symmetric(n_alts, n_inds)
+    assert (report.ip, report.dp, report.pp) == counts
+    assert report.total == evaluable_set_count(n_alts) ** n_inds
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+def test_hypertrees_of_two_member_edges_are_cayley_trees(size):
+    trees = census._hypertrees(size)
+    assert sum(count for (k, _), count in trees.items() if k == size - 1) == size ** (size - 2)
+
+
+@pytest.mark.parametrize("n_alts", [3, 4, 5])
+def test_hyperforest_table_counts_the_berge_acyclic_antichains(n_alts):
+    # group every Berge-acyclic antichain (its members' incidence graph is a
+    # forest: joining each member's alternatives never closes a loop) by
+    # members and down-set
+    masks = evaluable_masks(n_alts)
+    expected: Counter[tuple[int, int]] = Counter({(0, 0): 1})
+    for members, down in antichains(*support_order(masks), len(masks)):
+        root = list(range(n_alts))
+
+        def find(a):
+            while root[a] != a:
+                a = root[a]
+            return a
+
+        acyclic = True
+        for i in members:
+            first, *rest = [a for a in range(n_alts) if masks[i] >> a & 1]
+            for a in rest:
+                x, y = find(first), find(a)
+                acyclic = acyclic and x != y
+                root[x] = y
+        if acyclic:
+            expected[len(members), down.bit_count()] += 1
+    assert census._hyperforests(n_alts, 10**9) == expected
 
 
 def test_brute_census_refuses_before_listing_masks(monkeypatch):
@@ -257,22 +329,20 @@ def test_total_digits_near_a_power_of_ten(n_alts, n_inds, digits):
     assert total_digits(n_alts, n_inds) == digits
 
 
-@pytest.mark.parametrize("n_alts,n_inds", [(3, 3), (3, 4), (4, 3), (4, 4), (4, 6), (4, 40)])
-def test_symmetric_census_classifies_profiles_of_at_most_three_padded_sets(
-    monkeypatch, n_alts, n_inds
-):
-    expected = census_symmetric(n_alts, n_inds)
-    sizes = []
+def test_total_digits_near_an_integer_decided_without_the_count(monkeypatch):
+    # 3 * log10(S) = 2425669.0000008 at 2,685,966 alternatives: 50 more digits
+    # of the logarithm decide, with neither S^3 nor 10^2425669 built
+    real = census.evaluable_set_count
 
-    def recording(profile):
-        sizes.append((profile.n_inds, len(set(profile.evaluable))))
-        return classify(profile)
+    def small_only(n_alts):
+        if n_alts >= 64:
+            raise AssertionError(f"built 2**{n_alts}")
+        return real(n_alts)
 
-    monkeypatch.setattr(census, "classify", recording)
-    assert census_symmetric(n_alts, n_inds) == expected
-    assert sizes and all(n <= max(3, members) for n, members in sizes)
-    if n_inds <= 4:
-        assert expected == dataclasses.replace(census_brute(n_alts, n_inds), method="symmetric")
+    monkeypatch.setattr(census, "evaluable_set_count", small_only)
+    start = time.perf_counter()
+    assert total_digits(2685966, 3) == 2425670
+    assert time.perf_counter() - start < 0.5
 
 
 def test_enlarging_preserves_dictatorship_verdict():

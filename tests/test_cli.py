@@ -403,19 +403,27 @@ def test_census_budget_exits_4(capsys):
     assert "1331" in err
 
 
-def test_census_symmetric_budget_charged_on_antichains(capsys):
-    # 8008 is the number of 6-multisets of the 11 sets; only 113 antichains
-    # are classified. The counts are those of the brute census.
+def test_census_symmetric_runs_at_the_multiset_budget(capsys):
+    # 8008 is the number of 6-multisets of the 11 sets; the hyperforest rows
+    # of 4 alternatives have at most 7 cells. The counts are those of the
+    # brute census.
     argv = ("census", "--method", "symmetric", "--alts", "4", "--inds", "6")
     code, out, _ = run_cli(capsys, *argv, "--budget", "8008")
     assert code == 0
     payload = json.loads(out)
     assert payload["counts"] == {"IP": 879012, "DP": 771561, "PP": 120988}
     assert payload["total"] == 1771561
-    code, out, err = run_cli(capsys, *argv, "--budget", "50")
-    assert code == 4
-    assert out == ""
-    assert "antichains" in err
+
+
+def test_census_symmetric_refuses_a_table_row_over_budget(capsys):
+    # the rows of 1 to 6 alternatives have 1, 2, 4, 7, 12 and 19 cells
+    argv = ("census", "--method", "symmetric", "--alts", "6", "--inds", "3")
+    code, out, _ = run_cli(capsys, *argv, "--budget", "19")
+    assert code == 0
+    assert json.loads(out)["counts"] == {"IP": 114120, "DP": 9577, "PP": 61496}
+    code, out, err = run_cli(capsys, *argv, "--budget", "10")
+    assert (code, out) == (4, "")
+    assert err == "budget exceeded: hyperforest table row 5 has 12 cells, budget allows 10\n"
 
 
 @pytest.mark.parametrize("method", ["brute", "symmetric"])
@@ -488,6 +496,14 @@ def test_verify_unknown_rule_exits_2(capsys, example_paths):
     code, _, err = run_cli(capsys, "verify", "--rule", "borda", example_paths[0])
     assert code == 2
     assert "borda" in err
+
+
+@pytest.mark.parametrize("rule", ["borda", "fstar:v1", "dictatorship:v9"])
+def test_verify_unknown_rule_over_budget_exits_2(capsys, example_paths, rule):
+    # the rule id is checked before the ranking space is charged
+    code, out, err = run_cli(capsys, "verify", "--rule", rule, "--budget", "1", example_paths[0])
+    assert (code, out) == (2, "")
+    assert "unknown" in err and "budget" not in err
 
 
 @pytest.mark.parametrize(

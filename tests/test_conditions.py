@@ -235,6 +235,30 @@ def test_classify_matches_spanning_search_on_every_small_multiset():
     assert verdicts == {IP: 1850, DP: 713, PP: 2020}
 
 
+def test_dp_certificate_equals_the_cover_sweep_on_every_small_multiset():
+    # a complete individual decides DP with no sweep; its one-set certificate
+    # is the one the sweep would give
+    checked = 0
+    for n_alts, n_inds in ((3, 3), (4, 3), (4, 4), (5, 3)):
+        for masks in itertools.combinations_with_replacement(evaluable_masks(n_alts), n_inds):
+            profile = profile_from_masks(n_alts, masks)
+            clf = classify(profile)
+            if clf.verdict == DP:
+                assert clf.cycle_cover == check_cycle_cover(profile)
+                checked += 1
+    assert checked == 713
+
+
+def test_classify_decides_dp_without_a_cover_sweep(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify swept for cycle cover")
+
+    monkeypatch.setattr(conditions, "check_cycle_cover", refuse)
+    clf = classify(profile_from_masks(6, (0b000111, 0b111111, 0b111000, 0b111111)))
+    assert (clf.verdict, clf.complete_individual) == (DP, 1)
+    assert clf.cycle_cover.certificate == ((0b111111, 1),)
+
+
 def _theorem_sample(rng, n_alts):
     """Evaluable masks of one random profile: incomplete random sets with
     sizes drawn uniformly (mostly IP), or the blocks of a random hyperforest with some

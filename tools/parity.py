@@ -3,10 +3,11 @@
     python3 tools/parity.py OLD_SRC NEW_SRC
 
 Generates seeds 1-3 of every workload with ``bench/gen.py`` into a temporary
-directory (nothing is written under ``bench/``), runs each distinct warm-up
-and operation argv through ``rankagg.cli.main`` in one process per tree, and
-prints the command count and every argv whose exit code, stdout or stderr
-differs. Exits 1 when any command differs.
+directory (nothing is written under ``bench/``), adds ``repro`` and the
+symmetric censuses of ``EXTRA_COMMANDS`` that the benchmark does not run,
+runs each distinct argv through ``rankagg.cli.main`` in one process per tree,
+and prints the command count and every argv whose exit code, stdout or
+stderr differs. Exits 1 when any command differs.
 """
 
 from __future__ import annotations
@@ -21,10 +22,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
+EXTRA_COMMANDS = [["repro"]] + [
+    ["census", "--method", "symmetric", "--alts", str(n), "--inds", str(m)]
+    for n, m in ((3, 6), (4, 40), (6, 3))
+]
 
 
 def bench_commands(out: Path) -> list[list[str]]:
-    """Every distinct warm-up and operation argv of seeds 1-3, in order."""
+    """Every distinct warm-up and operation argv of seeds 1-3, in order, then
+    ``EXTRA_COMMANDS``."""
     sys.path.insert(0, str(ROOT / "bench"))
     import gen
 
@@ -33,6 +39,7 @@ def bench_commands(out: Path) -> list[list[str]]:
         for seed in SEEDS:
             manifest = gen.generate(workload, seed, out / f"{workload}-{seed}")
             argvs += manifest["warmup"] + [op["argv"] for op in manifest["ops"]]
+    argvs += EXTRA_COMMANDS
     print(f"{len(argvs)} commands")
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
