@@ -39,6 +39,7 @@ from .conditions import (
     CyclicRankings,
     ProfileClassification,
     SpanningCycleCheck,
+    SweepBudgetError,
     check_cycle_cover,
     check_spanning_cycle_free,
     classify,

@@ -1,11 +1,12 @@
 """The two constructive aggregation rules.
 
 Each rule's constraint relation is defined once, as a packed row per
-(individual, weak order) in the layout of ``relations.pack``. An aggregate
-combines the rows of the submitted orders into one packed constraint and
-extends it, returning that packed int as its ``StrictDigraph``, and
-``properties.verify_rule`` combines the same rows over every weak order, so
-aggregation and the exhaustive checks run one definition.
+(individual, weak order) in the layout of ``relations.pack``: a mask
+expression on the order's packed relation (``relations.mask_relation``). An
+aggregate combines the rows of the submitted orders into one packed
+constraint and extends it, returning that packed int as its
+``StrictDigraph``, and ``properties.verify_rule`` combines the same rows over
+every weak order, so aggregation and the exhaustive checks run one definition.
 
 ``aggregate_unanimity`` extends the unanimity relation: pair (a, b) is
 constrained exactly when everyone who evaluates both strictly agrees. It is
@@ -20,11 +21,11 @@ single designated individual. Pairs inside a maximal cyclic node set
 who evaluates the whole set; remaining pairs go to the first common evaluator
 in input order. Ties of the designated individual fall through to a global
 linear tiebreak. The relation is the OR of the ``delegation_row`` of each
-submitted order, which holds the arcs of the pairs delegated to that
-individual. Because each pair's outcome depends only on one fixed
-individual's restriction to that pair, the rule is independent of irrelevant
-alternatives, and its constraint relation is always acyclic under cycle
-cover.
+submitted order: the order's strict arcs and, on its ties, the tiebreak's,
+kept to both arcs of each pair delegated to that individual. Because each
+pair's outcome depends only on one fixed individual's restriction to that
+pair, the rule is independent of irrelevant alternatives, and its constraint
+relation is always acyclic under cycle cover.
 
 Every arbitrary choice is pinned (first eligible individual, smallest
 maximal set containing the smallest uncovered node, input-order tiebreak), so
@@ -41,10 +42,12 @@ from .relations import (
     RankingProfile,
     StrictDigraph,
     WeakOrder,
-    bits,
     is_acyclic,  # unused here, as is linear_extension; bench/tracing.py BINDINGS rebinds both
     linear_extension,
+    mask_relation,
+    pack,
     packed_linear_extension,
+    strictly_above,
 )
 
 
@@ -94,15 +97,9 @@ def unanimity_row(order: WeakOrder, mask: int, n: int) -> int:
     the AND over individuals keeps exactly the unanimous strict preferences.
     """
     full = (1 << n) - 1
-    row = (1 << n * n) - 1
-    better = full & ~mask
-    for tier in order.tiers:
-        # node b of this tier keeps only the nodes ranked above it or unranked
-        cleared = full & ~better
-        for b in bits(tier):
-            row ^= cleared << b * n
-        better |= tier
-    return row
+    above = strictly_above(order, n)
+    # an evaluated node b keeps only the nodes ranked above it or unranked
+    return pack([full & ~mask | above[b] if mask >> b & 1 else full for b in range(n)], n)
 
 
 def packed_unanimity(profile: EvaluabilityProfile, rankings: RankingProfile) -> int:
@@ -197,30 +194,23 @@ def pair_delegates(
 
 def delegated_pairs(
     profile: EvaluabilityProfile, delegates: dict[tuple[int, int], int]
-) -> list[list[tuple[int, int]]]:
-    """Per individual, the pairs of ``delegates`` assigned to them."""
-    own: list[list[tuple[int, int]]] = [[] for _ in profile.evaluable]
-    for pair, v in delegates.items():
-        own[v].append(pair)
+) -> list[int]:
+    """Per individual, both packed arcs of each pair delegated to them."""
+    n = profile.n_alts
+    own = [0] * len(profile.evaluable)
+    for (a, b), v in delegates.items():
+        own[v] |= 1 << b * n + a | 1 << a * n + b
     return own
 
 
-def delegation_row(
-    order: WeakOrder, own_pairs: list[tuple[int, int]], tiebreak: WeakOrder, n: int
-) -> int:
-    """One individual's part of the packed delegation relation: an arc on
-    each of ``own_pairs`` as ``order`` ranks it, ties resolved by
+def delegation_row(order: WeakOrder, own: int, tiebreak: WeakOrder, n: int) -> int:
+    """One individual's part of the packed delegation relation: of the arcs
+    ``own``, those ``order`` ranks strictly and, on its ties, those of
     ``tiebreak``. Every pair has one delegate, so the rows of a ranking
     profile have disjoint bits."""
-    ranks = order.ranks
-    tb = tiebreak.ranks
-    row = 0
-    for a, b in own_pairs:
-        if ranks[a] < ranks[b] or (ranks[a] == ranks[b] and tb[a] < tb[b]):
-            row |= 1 << (b * n + a)
-        else:
-            row |= 1 << (a * n + b)
-    return row
+    above, below = mask_relation(order, n)
+    tb = pack(strictly_above(tiebreak, n), n)
+    return own & (above | tb & ~(above | below))
 
 
 def _packed_delegation(

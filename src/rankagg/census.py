@@ -30,7 +30,10 @@ sum (s_i - 1) = s - 1, mu_j the multiplicities of the sizes (Cayley's
 s^(s-2) when every s_i is 2). Split on the tree of the smallest alternative,
 F[n] = sum_s C(n-1, s-1) T[s] F[n-s], edges and down-sets adding. A complete
 individual is a one-edge hyperforest, so DP = S^m - (S-1)^m, PP = cover - DP
-and IP = S^m - cover. The budget bounds the cells of each table row.
+and IP = S^m - cover. support_weight(k, D, m) is 0 when k > m, since m
+individuals use at most m maximal sets, so a row keeps only the cells of at
+most m edges and a tree's partitions stop at m parts. The budget bounds the
+cells of each table row.
 
 All counts and proportions are exact (big integers and Fractions); decimal
 strings appear only at the rendering edge.
@@ -49,9 +52,13 @@ from .conditions import classify
 from .profiles import EvaluabilityProfile
 
 DEFAULT_BUDGET = 10_000_000
-# cells of one hyperforest table row for the symmetric census: the row of 30
-# alternatives has 16,975 and the table up to it takes 1.9 s on a 2-core
-# machine; 31 alternatives (20,552 cells) are refused after 2.8 s
+# cells of one hyperforest table row for the symmetric census, whose rows keep
+# the forests of at most m edges for m individuals. On a 2-core machine: at
+# m >= n - 1 nothing is dropped, the row of 30 alternatives has 16,975 cells
+# and the table up to it takes 2.9 s, and 31 alternatives (20,552 cells) are
+# refused after 4.1 s; at m = 4 the row of 53 has 18,669 cells (4.0 s); at
+# m = 3 the row of 87 has 19,893 (13.1 s), and 88 (20,567) are refused after
+# 15.4 s
 DEFAULT_FOREST_BUDGET = 20_000
 
 
@@ -93,7 +100,8 @@ def total_digits(n_alts: int, n_inds: int) -> int:
     estimate = n_inds * (log10(evaluable_set_count(n_alts)) if n_alts < 64 else n_alts * log10(2))
     if abs(estimate - round(estimate)) > 1e-6 + estimate * 1e-15:
         return floor(estimate) + 1
-    with localcontext(prec=50 + len(str(n_alts * n_inds))):
+    with localcontext() as context:  # Python 3.10 takes no settings as arguments
+        context.prec = 50 + len(str(n_alts * n_inds))
         two = Decimal(2)
         estimate = n_inds * (n_alts * two.log10() + (1 - (n_alts + 1) * two**-n_alts).log10())
     near = round(estimate)
@@ -192,42 +200,46 @@ def support_weight(members: int, down: int, n_inds: int) -> int:
     )
 
 
-def _partitions(total: int, largest: int):
-    """Each multiset of positive parts summing to ``total``, none above
-    ``largest``, as a descending tuple."""
+def _partitions(total: int, largest: int, count: int):
+    """Each multiset of at most ``count`` positive parts summing to
+    ``total``, none above ``largest``, as a descending tuple."""
     if total == 0:
         yield ()
-    for part in range(min(total, largest), 0, -1):
-        for rest in _partitions(total - part, part):
-            yield (part,) + rest
+    elif count:
+        # the first part is the largest, so at least the mean of ``count`` parts
+        for part in range(min(total, largest), -(-total // count) - 1, -1):
+            for rest in _partitions(total - part, part, count - 1):
+                yield (part,) + rest
 
 
-def _hypertrees(size: int) -> Counter[tuple[int, int]]:
-    """Labeled connected hypertrees on ``size`` nodes with edges of at least
-    2 members, by (edges, down-set): one closed form per multiset of edge
-    sizes, each part of the partition being an edge size less one."""
+def _hypertrees(size: int, most: int) -> Counter[tuple[int, int]]:
+    """Labeled connected hypertrees on ``size`` nodes with at most ``most``
+    edges of at least 2 members, by (edges, down-set): one closed form per
+    multiset of edge sizes, each part of the partition being an edge size
+    less one."""
     row: Counter[tuple[int, int]] = Counter()
-    for parts in _partitions(size - 1, size - 1):
+    for parts in _partitions(size - 1, size - 1, most):
         denominator = prod(map(factorial, parts)) * prod(map(factorial, Counter(parts).values()))
         down = sum(2 ** (p + 1) - p - 2 for p in parts)
         row[len(parts), down] += size ** len(parts) * factorial(size - 1) // (size * denominator)
     return row
 
 
-def _hyperforests(n_alts: int, budget: int) -> Counter[tuple[int, int]]:
-    """Labeled hyperforests on ``n_alts`` nodes with edges of at least 2
-    members, by (edges, down-set), one row per node count. The first row with
-    more than ``budget`` cells raises CensusBudgetError."""
+def _hyperforests(n_alts: int, most: int, budget: int) -> Counter[tuple[int, int]]:
+    """Labeled hyperforests on ``n_alts`` nodes with at most ``most`` edges
+    of at least 2 members, by (edges, down-set), one row per node count. The
+    first row with more than ``budget`` cells raises CensusBudgetError."""
     trees: list[Counter[tuple[int, int]]] = [Counter()]
     forests = [Counter({(0, 0): 1})]
     for size in range(1, n_alts + 1):
-        trees.append(_hypertrees(size))
+        trees.append(_hypertrees(size, most))
         row: Counter[tuple[int, int]] = Counter()
         for s in range(1, size + 1):
             ways = comb(size - 1, s - 1)
             for (k, down), count in trees[s].items():
                 for (rest_k, rest_down), rest in forests[size - s].items():
-                    row[k + rest_k, down + rest_down] += ways * count * rest
+                    if k + rest_k <= most:
+                        row[k + rest_k, down + rest_down] += ways * count * rest
         if len(row) > budget:
             raise CensusBudgetError(len(row), budget, f"hyperforest table row {size} has {len(row)} cells")
         forests.append(row)
@@ -240,7 +252,7 @@ def census_symmetric(n_alts: int, n_inds: int, budget: int = DEFAULT_FOREST_BUDG
     if n_inds < 3:
         raise ValueError("need at least 3 individuals")
     sets = evaluable_set_count(n_alts)
-    forests = _hyperforests(n_alts, budget)
+    forests = _hyperforests(n_alts, n_inds, budget)
     cover = sum(count * support_weight(k, down, n_inds) for (k, down), count in forests.items())
     total = sets**n_inds
     dp = total - (sets - 1) ** n_inds

@@ -3,7 +3,8 @@ witness-cyclic, repro.
 
 Documents are JSON, UTF-8, with fixed field order; unknown fields are
 rejected. Exit codes: 0 success, 2 validation error, 3 structural
-precondition failure, 4 budget exceeded. All outputs are deterministic.
+precondition failure, 4 budget exceeded (a ranking space, a census, or a
+subset sweep over too many alternatives). All outputs are deterministic.
 ``verify`` and ``census`` accept --threads for compatibility: it must be at
 least 1 and changes neither the output nor the speed, since both commands
 run sequentially.
@@ -43,6 +44,7 @@ from .conditions import (
     ConditionViolationError,
     CyclicRankings,
     ProfileClassification,
+    SweepBudgetError,
     classify,
     cyclic_rankings,
 )
@@ -534,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConditionViolationError as exc:
         return _precondition_failed(exc)
-    except (BudgetExceededError, CensusBudgetError) as exc:
+    except (BudgetExceededError, CensusBudgetError, SweepBudgetError) as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return 4
     except ValueError as exc:  # DocumentError, ProfileError, bad parameters

@@ -13,7 +13,8 @@ spanning cycle exists exactly when some individual is complete (one evaluable
 set covers the spanning cycle; a complete set makes the graph complete and
 covers every cycle), so ``classify`` decides DP first, from the first
 complete individual, with no subset sweep. Each verdict carries a
-machine-checkable witness.
+machine-checkable witness. A sweep over more than ``SWEEP_ALT_LIMIT``
+alternatives raises ``SweepBudgetError`` before it starts.
 
 A subset is "cyclic" when the induced subgraph has a Hamiltonian cycle on it,
 decided by the Held-Karp dynamic program over subsets. One table answers both
@@ -46,6 +47,25 @@ from .relations import RankingProfile, WeakOrder, bits, mask_of
 IP = "IP"
 DP = "DP"
 PP = "PP"
+# the most alternatives a subset sweep accepts. On a 2-core machine at 16,
+# classify takes 1.8 s on a ring of pairs and 3.9 s on a chain of triangles,
+# and the fstarstar refusal on the ring 3.6 s; each alternative more
+# multiplies that by 2.7 to 4.5 (17: 6.2, 17.5 and 12.9 s)
+SWEEP_ALT_LIMIT = 16
+
+
+class SweepBudgetError(RuntimeError):
+    """A subset sweep was asked for more than ``SWEEP_ALT_LIMIT`` alternatives."""
+
+    def __init__(self, required: int):
+        self.required = required
+        self.budget = SWEEP_ALT_LIMIT
+        super().__init__(f"subset sweep over {required} alternatives, budget allows {self.budget}")
+
+
+def _check_sweep(n_alts: int) -> None:
+    if n_alts > SWEEP_ALT_LIMIT:
+        raise SweepBudgetError(n_alts)
 
 
 class ConditionViolationError(ValueError):
@@ -125,6 +145,7 @@ def _spanning_cycle_witness(adjacency: tuple[int, ...], mask: int) -> tuple[int,
 
 def maximal_cyclic_sets(graph: UnionGraph) -> tuple[int, ...]:
     """All cyclic node subsets with no cyclic strict superset, ascending."""
+    _check_sweep(graph.node_count)
     adj = graph.adjacency
     n = graph.node_count
     cyclic = [
@@ -170,6 +191,7 @@ def check_cycle_cover(profile: EvaluabilityProfile) -> CycleCoverCheck:
     some evaluable set cannot witness a failure and is skipped before the
     (more expensive) cyclicity test.
     """
+    _check_sweep(profile.n_alts)
     g = build_union_graph(profile)
     cliques = profile.evaluable
     for s in range(7, 1 << g.node_count):
@@ -189,6 +211,7 @@ def check_cycle_cover(profile: EvaluabilityProfile) -> CycleCoverCheck:
 
 def check_spanning_cycle_free(profile: EvaluabilityProfile) -> SpanningCycleCheck:
     """Decide by search whether the co-evaluation graph has no spanning cycle."""
+    _check_sweep(profile.n_alts)
     g = build_union_graph(profile)
     cycle = _spanning_cycle_witness(g.adjacency, g.nodes)
     return SpanningCycleCheck(cycle is None, cycle)

@@ -166,7 +166,8 @@ class RankingProfile:
 
 def strict_part(order: WeakOrder) -> StrictDigraph:
     """Arcs (a, b) for every a strictly better than b in ``order``."""
-    return StrictDigraph(order.ground, mask_relation(order, order.ground.bit_length())[0])
+    n = order.ground.bit_length()
+    return StrictDigraph(order.ground, pack(strictly_above(order, n), n))
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +200,10 @@ def pack(masks: Iterable[int], n: int) -> int:
 
 
 def mask_relation(order: WeakOrder, n: int) -> MaskRelation:
-    """The strict part of ``order`` as a mask relation on ``n`` nodes."""
-    above = strictly_above(order, n)
-    below = [0] * n
-    worse = order.ground
-    for tier in order.tiers:
-        worse ^= tier
-        for a in bits(tier):
-            below[a] = worse
-    return pack(above, n), pack(below, n)
+    """The strict part of ``order`` as a mask relation on ``n`` nodes: what
+    is above a node in the reversed order is below it in ``order``."""
+    reverse = WeakOrder(order.tiers[::-1])
+    return pack(strictly_above(order, n), n), pack(strictly_above(reverse, n), n)
 
 
 def extension_mask_relation(

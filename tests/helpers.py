@@ -10,7 +10,9 @@ wrappers and ``quasi_dictators`` are conveniences over ``verify_rule`` that
 only the tests use, as are the evaluator and union-graph queries
 (``evaluators_of``, ``graph_edges``, ``is_cyclic_subset`` and the like) and
 the weak-order and pair-set queries (``relation_pairs``, ``restrict``,
-``extends`` and the like). ``antichain_census`` classifies one padded profile
+``extends`` and the like). The ``reference_*_row`` loops, with
+``reference_mask_relation`` and ``reference_delegated_pairs``, pack the
+aggregation rows pair by pair. ``antichain_census`` classifies one padded profile
 per antichain of evaluable sets, as an oracle for the symmetric census's
 hyperforest count.
 """
@@ -524,6 +526,68 @@ def reference_verify(arf, profile: EvaluabilityProfile, axioms=AXIOM_IDS) -> Pro
             ce = None if dictator is None else Counterexample("nd", individual=dictator)
         verdicts.append(AxiomVerdict(axiom, ce is None, ce))
     return PropertyReport(tuple(verdicts), quasi, ranking_space_size(profile))
+
+
+# ---------------------------------------------------------------------------
+# Loop references for the packed rows: the tier and pair loops that the
+# library's mask expressions (``relations.mask_relation``,
+# ``aggregators.unanimity_row``, ``delegated_pairs`` and ``delegation_row``)
+# replace, packing bit by bit in the same layout.
+# ---------------------------------------------------------------------------
+
+
+def reference_mask_relation(order: WeakOrder, n: int) -> tuple[int, int]:
+    """The packed strict part of ``order`` on ``n`` nodes and its
+    transpose, one tier at a time."""
+    above = below = 0
+    better, worse = 0, order.ground
+    for tier in order.tiers:
+        worse ^= tier
+        for a in bits(tier):
+            above |= better << a * n
+            below |= worse << a * n
+        better |= tier
+    return above, below
+
+
+def reference_unanimity_row(order: WeakOrder, mask: int, n: int) -> int:
+    """Every arc except those on a pair of ``mask`` that ``order`` does not
+    rank strictly that way."""
+    full = (1 << n) - 1
+    row = (1 << n * n) - 1
+    better = full & ~mask
+    for tier in order.tiers:
+        cleared = full & ~better
+        for b in bits(tier):
+            row ^= cleared << b * n
+        better |= tier
+    return row
+
+
+def reference_delegated_pairs(
+    profile: EvaluabilityProfile, delegates: dict[tuple[int, int], int]
+) -> list[list[tuple[int, int]]]:
+    """Per individual, the pairs of ``delegates`` assigned to them."""
+    own: list[list[tuple[int, int]]] = [[] for _ in profile.evaluable]
+    for pair, v in delegates.items():
+        own[v].append(pair)
+    return own
+
+
+def reference_delegation_row(
+    order: WeakOrder, own_pairs: list[tuple[int, int]], tiebreak: WeakOrder, n: int
+) -> int:
+    """An arc on each of ``own_pairs`` as ``order`` ranks it, ties resolved
+    by ``tiebreak``."""
+    ranks = order.ranks
+    tb = tiebreak.ranks
+    row = 0
+    for a, b in own_pairs:
+        if ranks[a] < ranks[b] or (ranks[a] == ranks[b] and tb[a] < tb[b]):
+            row |= 1 << (b * n + a)
+        else:
+            row |= 1 << (a * n + b)
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,15 @@ from rankagg import relations
 from rankagg.aggregators import (
     aggregate_delegation,
     aggregate_unanimity,
+    delegated_pairs,
     delegation_relation,
+    delegation_row,
     maximal_cycle_family,
     pair_delegates,
     unanimity_relation,
+    unanimity_row,
 )
+from rankagg.census import evaluable_masks
 from rankagg.conditions import ConditionViolationError, check_cycle_cover, classify, cyclic_rankings
 from rankagg.profiles import ProfileError, build_profile
 from rankagg.relations import (
@@ -22,7 +26,16 @@ from rankagg.relations import (
     weak_orders_on,
 )
 
-from helpers import all_profiles_masks, as_sequence, common_evaluators, extends, profile_from_masks
+from helpers import (
+    all_profiles_masks,
+    as_sequence,
+    common_evaluators,
+    extends,
+    profile_from_masks,
+    reference_delegated_pairs,
+    reference_delegation_row,
+    reference_unanimity_row,
+)
 
 EXAMPLE_ARCS = frozenset({
     (1, 3), (1, 0), (1, 2), (3, 0), (3, 2),
@@ -353,3 +366,45 @@ def test_unanimity_contained_in_delegation():
             # hence any delegation output extends the unanimity constraint
             out = aggregate_delegation(profile, rankings)
             assert extends(out.order, star)
+
+
+# -- packed rows against their loop references ---------------------------------
+
+TIEBREAKS = {"identity": tuple(range(5)), "reversed": tuple(range(4, -1, -1))}
+
+
+def both_arcs(pairs, n):
+    return sum(1 << b * n + a | 1 << a * n + b for a, b in pairs)
+
+
+@pytest.mark.parametrize("tiebreak", TIEBREAKS.values(), ids=TIEBREAKS.keys())
+def test_rows_equal_the_loops_on_every_weak_order_of_five_alternatives(tiebreak):
+    n = 5
+    tb = WeakOrder.from_ranking(tiebreak)
+    for mask in evaluable_masks(n):
+        pairs = list(itertools.combinations(bits(mask), 2))
+        for order in weak_orders_on(mask):
+            assert unanimity_row(order, mask, n) == reference_unanimity_row(order, mask, n)
+            expected = reference_delegation_row(order, pairs, tb, n)
+            assert delegation_row(order, both_arcs(pairs, n), tb, n) == expected
+
+
+@pytest.mark.parametrize("tiebreak", TIEBREAKS.values(), ids=TIEBREAKS.keys())
+def test_delegation_rows_equal_the_loops_on_every_four_three_delegate_map(tiebreak):
+    n = 4
+    tb = WeakOrder.from_ranking(x for x in tiebreak if x < n)
+    checked = 0
+    for masks in itertools.combinations_with_replacement(evaluable_masks(n), 3):
+        profile = profile_from_masks(n, masks)
+        if not check_cycle_cover(profile).holds:
+            continue
+        delegates = pair_delegates(profile, maximal_cycle_family(profile))
+        own = delegated_pairs(profile, delegates)
+        pairs = reference_delegated_pairs(profile, delegates)
+        assert own == [both_arcs(p, n) for p in pairs]
+        for v, mask in enumerate(profile.evaluable):
+            for order in weak_orders_on(mask):
+                expected = reference_delegation_row(order, pairs[v], tb, n)
+                assert delegation_row(order, own[v], tb, n) == expected
+        checked += 1
+    assert checked == 218  # of the 286 multisets, 68 are IP

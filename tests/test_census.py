@@ -166,16 +166,40 @@ def test_budget_guard():
 
 def test_symmetric_budget_counts_table_cells():
     # the hyperforest rows grow with the alternatives, so the last row is the
-    # largest; the first row over the budget is refused with its cell count
-    assert [len(census._hyperforests(n, 10**9)) for n in range(1, 7)] == [1, 2, 4, 7, 12, 19]
-    assert census_symmetric(6, 3, budget=19).total == 57**3
+    # largest; the first row over the budget is refused with its cell count.
+    # A forest on 6 alternatives has at most 5 edges, so 5 individuals drop
+    # no cell
+    assert [len(census._hyperforests(n, 5, 10**9)) for n in range(1, 7)] == [1, 2, 4, 7, 12, 19]
+    assert census_symmetric(6, 5, budget=19).total == 57**5
     with pytest.raises(CensusBudgetError) as err:
-        census_symmetric(6, 3, budget=18)
+        census_symmetric(6, 5, budget=18)
     assert err.value.required == 19
     assert str(err.value) == "hyperforest table row 6 has 19 cells, budget allows 18"
     with pytest.raises(CensusBudgetError) as err:
-        census_symmetric(6, 3, budget=3)
+        census_symmetric(6, 5, budget=3)
     assert err.value.required == 4  # refused at the row of 3 alternatives
+
+
+def test_symmetric_rows_keep_at_most_one_edge_per_individual():
+    # 3 individuals use at most 3 maximal sets: the rows of 5 and more
+    # alternatives drop the forests of 4 and more edges
+    assert [len(census._hyperforests(n, 3, 10**9)) for n in range(1, 8)] == [1, 2, 4, 7, 11, 16, 23]
+    assert census_symmetric(6, 3, budget=16) == census_symmetric(6, 3)
+    with pytest.raises(CensusBudgetError) as err:
+        census_symmetric(6, 3, budget=15)
+    assert str(err.value) == "hyperforest table row 6 has 16 cells, budget allows 15"
+
+
+@pytest.mark.parametrize("n_inds", [3, 4, 5])
+def test_symmetric_rows_drop_only_cells_of_no_profile(n_inds):
+    # row by row, the truncated table is the full one less cells of more
+    # edges than individuals, and no profile has such a maximal support
+    for n_alts in range(1, 10):
+        full = census._hyperforests(n_alts, n_alts, 10**9)
+        kept = census._hyperforests(n_alts, n_inds, 10**9)
+        assert kept == Counter({cell: c for cell, c in full.items() if cell[0] <= n_inds})
+        for k, down in full.keys() - kept.keys():
+            assert support_weight(k, down, n_inds) == 0
 
 
 def test_symmetric_census_answers_fourteen_alternatives(capsys):
@@ -237,6 +261,12 @@ def test_symmetric_census_equals_the_antichain_census(n_alts, n_inds):
         (6, 3, (114120, 9577, 61496)),
         (6, 4, (8262180, 721505, 1572316)),
         (9, 3, (112215282, 754507, 13536219)),
+        (30, 3, (1237936804044590028673688760, 3458764310883339169, 3124560329102502976328)),
+        (60, 3, (
+            1532495540863285319301568635480958813039098294923374788,
+            3987683987354747193283385980914510931,
+            2603291820371175675011305962318741275225156,
+        )),
     ],
 )
 def test_symmetric_census_pinned_counts(n_alts, n_inds, counts):
@@ -247,7 +277,7 @@ def test_symmetric_census_pinned_counts(n_alts, n_inds, counts):
 
 @pytest.mark.parametrize("size", range(2, 9))
 def test_hypertrees_of_two_member_edges_are_cayley_trees(size):
-    trees = census._hypertrees(size)
+    trees = census._hypertrees(size, size)
     assert sum(count for (k, _), count in trees.items() if k == size - 1) == size ** (size - 2)
 
 
@@ -275,7 +305,7 @@ def test_hyperforest_table_counts_the_berge_acyclic_antichains(n_alts):
                 root[x] = y
         if acyclic:
             expected[len(members), down.bit_count()] += 1
-    assert census._hyperforests(n_alts, 10**9) == expected
+    assert census._hyperforests(n_alts, n_alts, 10**9) == expected
 
 
 def test_brute_census_refuses_before_listing_masks(monkeypatch):

@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 
 from rankagg import aggregators, census, cli
+from rankagg.conditions import SWEEP_ALT_LIMIT
 from rankagg.cli import (
     DocumentError,
     dumps,
@@ -353,6 +354,56 @@ def test_verify_fstarstar_on_an_ip_profile_over_budget_exits_4(capsys, peer_path
     assert "witness_cycle" in err
 
 
+# -- subset-sweep budget --------------------------------------------------------
+
+
+def _past_the_sweep_limit(tmp_path, complete):
+    """A ring of pairs on one alternative more than a sweep accepts, with an
+    individual evaluating everything when ``complete``; its rankings put
+    each pair's first member first."""
+    n = SWEEP_ALT_LIMIT + 1
+    names = [f"x{i:02d}" for i in range(n)]
+    pairs = [[names[i], names[(i + 1) % n]] for i in range(n)]
+    individuals = [{"id": f"v{i}", "evaluates": pair} for i, pair in enumerate(pairs)]
+    if complete:
+        individuals.append({"id": "all", "evaluates": names})
+    profile, rankings = tmp_path / "ring.json", tmp_path / "r.json"
+    document = {"schema_version": 1, "alternatives": names, "individuals": individuals}
+    profile.write_text(dumps(document), encoding="utf-8")
+    ranks = {f"v{i}": [[a], [b]] for i, (a, b) in enumerate(pairs)}
+    rankings.write_text(dumps({"rankings": ranks}), encoding="utf-8")
+    return str(profile), str(rankings)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "{p}"),
+        ("aggregate", "--rule", "fstarstar", "{p}", "{r}"),
+        # a ranking-space budget of 3^17 lets the sweep be what refuses
+        ("verify", "--rule", "fstarstar", "--budget", "129140163", "{p}"),
+        ("witness-cyclic", "{p}"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_subset_sweep_past_the_limit_exits_4_at_once(capsys, tmp_path, argv):
+    p, r = _past_the_sweep_limit(tmp_path, complete=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *(a.format(p=p, r=r) for a in argv))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err == "budget exceeded: subset sweep over 17 alternatives, budget allows 16\n"
+
+
+def test_dp_profile_past_the_sweep_limit_still_classifies(capsys, tmp_path):
+    p, _ = _past_the_sweep_limit(tmp_path, complete=True)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "classify", p)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["verdict"] == "DP"
+
+
 def test_verify_unknown_axiom_exits_2(capsys, example_paths):
     code, _, err = run_cli(
         capsys, "verify", "--rule", "fstar", "--axioms", "tv,zz", example_paths[0]
@@ -416,11 +467,12 @@ def test_census_symmetric_runs_at_the_multiset_budget(capsys):
 
 
 def test_census_symmetric_refuses_a_table_row_over_budget(capsys):
-    # the rows of 1 to 6 alternatives have 1, 2, 4, 7, 12 and 19 cells
-    argv = ("census", "--method", "symmetric", "--alts", "6", "--inds", "3")
+    # with 5 individuals the rows of 1 to 6 alternatives have 1, 2, 4, 7, 12
+    # and 19 cells
+    argv = ("census", "--method", "symmetric", "--alts", "6", "--inds", "5")
     code, out, _ = run_cli(capsys, *argv, "--budget", "19")
     assert code == 0
-    assert json.loads(out)["counts"] == {"IP": 114120, "DP": 9577, "PP": 61496}
+    assert json.loads(out)["counts"] == {"IP": 510759000, "DP": 50960281, "PP": 39972776}
     code, out, err = run_cli(capsys, *argv, "--budget", "10")
     assert (code, out) == (4, "")
     assert err == "budget exceeded: hyperforest table row 5 has 12 cells, budget allows 10\n"

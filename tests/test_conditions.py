@@ -10,7 +10,9 @@ from rankagg.conditions import (
     DP,
     IP,
     PP,
+    SWEEP_ALT_LIMIT,
     ConditionViolationError,
+    SweepBudgetError,
     check_cycle_cover,
     check_spanning_cycle_free,
     classify,
@@ -147,6 +149,20 @@ def test_forest_profile_is_spanning_cycle_free():
         {"v1": ["a", "b"], "v2": ["b", "c"], "v3": ["a", "b"]},
     )
     assert check_spanning_cycle_free(profile).holds
+
+
+def test_every_subset_sweep_refuses_past_the_limit():
+    n = SWEEP_ALT_LIMIT + 1
+    ring = profile_from_masks(n, tuple(1 << i | 1 << (i + 1) % n for i in range(n)))
+    sweeps = (
+        check_cycle_cover,
+        check_spanning_cycle_free,
+        lambda profile: maximal_cyclic_sets(build_union_graph(profile)),
+    )
+    for sweep in sweeps:
+        with pytest.raises(SweepBudgetError) as err:
+            sweep(ring)
+        assert (err.value.required, err.value.budget) == (n, SWEEP_ALT_LIMIT)
 
 
 def test_spanning_cycle_matches_permutation_oracle():

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+from rankagg.census import evaluable_masks
 from rankagg.relations import (
     CyclicRelationError,
     StrictDigraph,
@@ -14,6 +15,7 @@ from rankagg.relations import (
     is_acyclic,
     linear_extension,
     mask_of,
+    mask_relation,
     ordered_bell,
     strict_part,
     weak_orders_on,
@@ -32,6 +34,7 @@ from helpers import (
     pairs_transitive,
     reference_is_acyclic,
     reference_linear_extension,
+    reference_mask_relation,
     relation_pairs,
     restrict,
     to_lists,
@@ -396,3 +399,11 @@ def sparse_acyclic_digraphs(draw):
 def test_extension_matches_kahn_reference(case):
     digraph, tiebreak = case
     assert linear_extension(digraph, tiebreak) == reference_linear_extension(digraph, tiebreak)
+
+
+def test_mask_relation_equals_the_tier_loop_on_every_weak_order_of_five_alternatives():
+    for mask in evaluable_masks(5):
+        for order in weak_orders_on(mask):
+            assert mask_relation(order, 5) == reference_mask_relation(order, 5)
+            n = order.ground.bit_length()
+            assert strict_part(order).above == reference_mask_relation(order, n)[0]
